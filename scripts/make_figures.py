@@ -11,63 +11,39 @@ import math
 from pathlib import Path
 
 from conicmaps import (
-    CurveTable,
     SphericalAnnulus,
     SvgStyle,
-    annulus_distortion,
     compare_all,
     graticule,
     make_profile,
     optimal_alpha_by_root,
     project_polylines,
-    render_svg,
-    stretch_at,
     write_csv,
+    write_svg,
 )
-from conicmaps.projections import COMPARISON_ORDER, ProjectionParams
-
-RHO1, RHO2 = 0.737277, 0.887011
-
-
-def scan_table(rho1, rho2, n=2001):
-    rows = [
-        (a, annulus_distortion(rho1, rho2, math.asin(a), rho1))
-        for a in ((i + 1) / (n + 1) for i in range(n))
-    ]
-    return CurveTable(("sin_alpha", "distortion"), rows)
+from conicmaps.cli import CANONICAL_RHO1, CANONICAL_RHO2, scan_table, sigma_table
+from conicmaps.projections import ProjectionParams
 
 
-def sigma_table(rho1, rho2, n=1001):
-    params = ProjectionParams(rho1, rho2)
-    profiles = [(k, make_profile(k, params)) for k in COMPARISON_ORDER]
-    rows = []
-    for i in range(n):
-        rho = rho1 + (rho2 - rho1) * i / (n - 1)
-        rows.append((rho,) + tuple(stretch_at(p, rho).sigma for _, p in profiles))
-    return CurveTable(("rho",) + tuple(f"sigma_{k}" for k, _ in profiles), rows)
-
-
-def map_svg(kind, rho1, rho2):
+def write_map(kind, rho1, rho2, path):
     profile = make_profile(kind, ProjectionParams(rho1, rho2))
     grat = graticule(10.0, 5.0, SphericalAnnulus(rho1, rho2))
     paths = project_polylines(profile, grat, math.pi).paths
-    return render_svg([(SvgStyle(stroke="#444444", stroke_width=0.0015), paths)])
+    write_svg(paths, SvgStyle(stroke="#444444", stroke_width=0.0015), path)
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", default="out", type=Path)
-    ap.add_argument("--rho1", default=RHO1, type=float)
-    ap.add_argument("--rho2", default=RHO2, type=float)
+    ap.add_argument("--rho1", default=CANONICAL_RHO1, type=float)
+    ap.add_argument("--rho2", default=CANONICAL_RHO2, type=float)
     args = ap.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
 
     write_csv(scan_table(args.rho1, args.rho2), args.outdir / "optimal_scan.csv")
     write_csv(sigma_table(args.rho1, args.rho2), args.outdir / "sigma_comparison.csv")
     for kind in ("lambert", "central"):
-        (args.outdir / f"{kind}_map.svg").write_text(
-            map_svg(kind, args.rho1, args.rho2)
-        )
+        write_map(kind, args.rho1, args.rho2, args.outdir / f"{kind}_map.svg")
 
     a0 = math.sin(optimal_alpha_by_root(args.rho1, args.rho2))
     print(f"optimal sin(alpha) = {a0:.10g}")

@@ -1,8 +1,8 @@
 """Command-line front end: optimize | table | curves | project | reproduce.
 
 Exit codes: 0 success, 1 a reproduction target missed, 2 invalid parameters,
-3 unreadable/unparseable input file.  All numeric output is locale
-independent.
+3 unreadable/unparseable input file, 4 cannot write output.  All numeric
+output is locale independent.
 """
 
 from __future__ import annotations
@@ -12,15 +12,21 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import projections
 from .distortion import (
     annulus_distortion,
+    annulus_distortions,
     optimal_alpha_by_root,
     optimal_alpha_by_scan,
 )
 from .cone import ConicalAnnulus, cone_annulus_modulus, sphere_cone_intersections
-from .errors import ParseError, ValidationError
-from .geodata import (
+from .errors import NonPositiveStretch, ParseError, ValidationError
+
+# render_svg and stretch_at are not called here, but benchmarks/tracing.py
+# wraps them in this namespace, so they stay imported.
+from .geodata import (  # noqa: F401
     CurveTable,
     SvgStyle,
     graticule,
@@ -28,8 +34,9 @@ from .geodata import (
     project_polylines,
     render_svg,
     write_csv,
+    write_svg,
 )
-from .projections import ProjectionParams, compare_all, make_profile, stretch_at
+from .projections import ProjectionParams, compare_all, make_profile, stretch_at  # noqa: F401
 from .sphere import SphericalAnnulus, annulus_modulus
 
 # Heights of the canonical annulus: the band spanned by the historical
@@ -171,7 +178,11 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             f"invalid band: need -1 < rho1 < rho2 < 1, got rho1={rho1:.6g}, "
             f"rho2={rho2:.6g}"
         )
+    if not math.isfinite(args.cut):
+        raise ValueError(f"--cut must be a finite longitude, got {args.cut}")
     alpha = args.alpha
+    if alpha is not None and not math.isfinite(alpha):
+        raise ValueError(f"--alpha must be finite, got {alpha}")
     if alpha is not None and args.degrees:
         alpha = math.radians(alpha)
     samples = args.samples
@@ -191,13 +202,31 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _emit_csv(table: CurveTable, path: str | None) -> None:
-    if path:
-        write_csv(table, path)
-    else:
-        sys.stdout.write(",".join(table.columns) + "\n")
-        for row in table.rows:
-            sys.stdout.write(",".join(format(v, ".17g") for v in row) + "\n")
+def scan_table(rho1: float, rho2: float, n: int = 2001) -> CurveTable:
+    """Distortion of the conformal map at n evenly spaced a = sin(alpha) in (0, 1)."""
+    a = (np.arange(n) + 1) / (n + 1)
+    alphas = [math.asin(v) for v in a.tolist()]
+    delta = annulus_distortions(rho1, rho2, alphas, rho1)
+    return CurveTable(("sin_alpha", "distortion"), np.column_stack((a, delta)))
+
+
+def sigma_table(rho1: float, rho2: float, n: int = 1001) -> CurveTable:
+    """Bi-Lipschitz constant of the six kinds at n evenly spaced heights."""
+    params = ProjectionParams(rho1, rho2)
+    profiles = [make_profile(kind, params) for kind in projections.COMPARISON_ORDER]
+    rho = rho1 + (rho2 - rho1) * np.arange(n) / (n - 1)
+    # A profile's bounds are cos(acos(rho)), which can sit an ulp inside the
+    # band's edges; stretch_at clamps the same way.
+    inside = np.minimum(np.maximum(rho, profiles[0].rho1), profiles[0].rho2)
+    eps = [math.acos(r) for r in inside.tolist()]
+    columns = [rho]
+    for profile in profiles:
+        h_m, h_p = profile.stretches(eps)
+        if np.any(h_m <= 0.0) or np.any(h_p <= 0.0):
+            raise NonPositiveStretch("stretches must be positive")
+        columns.append(np.maximum(np.maximum(h_m, h_p), np.maximum(1.0 / h_m, 1.0 / h_p)))
+    names = ["rho"] + [f"sigma_{p.kind}" for p in profiles]
+    return CurveTable(names, np.column_stack(columns))
 
 
 def cmd_optimize(cfg: RunConfig) -> int:
@@ -209,12 +238,7 @@ def cmd_optimize(cfg: RunConfig) -> int:
     print(f"delta_min = {delta_min:.10g}")
     print(f"root/scan agreement = {abs(alpha_root - alpha_scan):.3g} rad")
     if cfg.scan:
-        n = cfg.samples or 2001
-        rows = []
-        for i in range(n):
-            a = (i + 1) / (n + 1)
-            rows.append((a, annulus_distortion(cfg.rho1, cfg.rho2, math.asin(a), cfg.rho1)))
-        _emit_csv(CurveTable(("sin_alpha", "distortion"), rows), cfg.csv)
+        write_csv(scan_table(cfg.rho1, cfg.rho2, cfg.samples or 2001), cfg.csv or sys.stdout)
     return 0
 
 
@@ -238,19 +262,7 @@ def cmd_table(cfg: RunConfig) -> int:
 
 
 def cmd_curves(cfg: RunConfig) -> int:
-    n = cfg.samples or 1001
-    params = ProjectionParams(cfg.rho1, cfg.rho2)
-    profiles = [
-        (kind, make_profile(kind, params)) for kind in projections.COMPARISON_ORDER
-    ]
-    columns = ["rho"] + [f"sigma_{kind}" for kind, _ in profiles]
-    rows = []
-    for i in range(n):
-        rho = cfg.rho1 + (cfg.rho2 - cfg.rho1) * i / (n - 1)
-        rows.append(
-            (rho,) + tuple(stretch_at(prof, rho).sigma for _, prof in profiles)
-        )
-    _emit_csv(CurveTable(columns, rows), cfg.csv)
+    write_csv(sigma_table(cfg.rho1, cfg.rho2, cfg.samples or 1001), cfg.csv or sys.stdout)
     return 0
 
 
@@ -258,27 +270,22 @@ def cmd_project(cfg: RunConfig) -> int:
     params = ProjectionParams(cfg.rho1, cfg.rho2, cfg.alpha_override)
     profile = make_profile(cfg.kind, params)
     annulus = SphericalAnnulus(cfg.rho1, cfg.rho2)
-    grat = graticule(10.0, 5.0, annulus)
-    layers = [
-        (SvgStyle(stroke="#999999", stroke_width=0.0015),
-         project_polylines(profile, grat, cfg.cut).paths)
-    ]
+    grat = project_polylines(profile, graticule(10.0, 5.0, annulus), cfg.cut)
+    overlays = []
     if cfg.geojson:
         try:
             with open(cfg.geojson, "r", encoding="utf-8") as fh:
                 parsed = parse_geojson_lines(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read {cfg.geojson}: {exc}") from exc
         coast = project_polylines(profile, parsed.lines, cfg.cut)
-        layers.append(
-            (SvgStyle(stroke="black", stroke_width=0.003), coast.paths)
-        )
-    doc = render_svg(layers)
-    if cfg.out:
-        with open(cfg.out, "w", newline="\n", encoding="ascii") as fh:
-            fh.write(doc)
-    else:
-        sys.stdout.write(doc)
+        overlays.append((SvgStyle(stroke="black", stroke_width=0.003), coast.paths))
+    write_svg(
+        grat.paths,
+        SvgStyle(stroke="#999999", stroke_width=0.0015),
+        cfg.out or sys.stdout,
+        overlays,
+    )
     return 0
 
 
@@ -367,6 +374,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

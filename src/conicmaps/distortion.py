@@ -95,24 +95,37 @@ def squared_stretch(x: float, y: float, z: float) -> float:
     return math.exp(log_squared_stretch(x, y, z))
 
 
-def _distortion_in_a(rho1: float, rho2: float, a: float, rho0: float) -> float:
+def _distortion_in_a(rho1: float, rho2: float, rho0: float) -> Callable[[float], float]:
     """Distortion as a function of a = sin(alpha), valid on all of (-1, 1).
 
     F is convex in its first argument with minimum at x = a, so the supremum
     of F over [rho1, rho2] sits at an endpoint and the infimum at a when that
     is interior, else at the nearer endpoint; the distortion is half the
-    spread of log F because L = sqrt(F).
+    spread of log F because L = sqrt(F).  The returned function evaluates
+    log F exactly as :func:`log_squared_stretch` does, with the log1p terms
+    that do not depend on a taken once here.
     """
-    f1 = log_squared_stretch(rho1, a, rho0)
-    f2 = log_squared_stretch(rho2, a, rho0)
-    sup = max(f1, f2)
-    if rho1 <= a <= rho2:
-        inf = log_squared_stretch(a, a, rho0)
-    elif a < rho1:
-        inf = f1
-    else:
-        inf = f2
-    return 0.5 * (sup - inf)
+    _check_open_unit("x", rho1)
+    _check_open_unit("x", rho2)
+    _check_open_unit("z", rho0)
+    lp0, lm0 = math.log1p(rho0), math.log1p(-rho0)
+    p1, m1 = lp0 - math.log1p(rho1), lm0 - math.log1p(-rho1)
+    p2, m2 = lp0 - math.log1p(rho2), lm0 - math.log1p(-rho2)
+
+    def delta(a: float) -> float:
+        if not -1.0 < a < 1.0:
+            raise ValueError(f"y must lie in (-1, 1), got {a}")
+        f1 = (1.0 + a) * p1 + (1.0 - a) * m1
+        f2 = (1.0 + a) * p2 + (1.0 - a) * m2
+        if rho1 <= a <= rho2:
+            inf = (1.0 + a) * (lp0 - math.log1p(a)) + (1.0 - a) * (lm0 - math.log1p(-a))
+        elif a < rho1:
+            inf = f1
+        else:
+            inf = f2
+        return 0.5 * (max(f1, f2) - inf)
+
+    return delta
 
 
 def annulus_distortion(rho1: float, rho2: float, alpha: float, rho0: float) -> float:
@@ -121,12 +134,24 @@ def annulus_distortion(rho1: float, rho2: float, alpha: float, rho0: float) -> f
     The normalization height ``rho0`` cancels between sup and inf, so the
     result does not depend on it.
     """
+    return float(annulus_distortions(rho1, rho2, [alpha], rho0)[0])
+
+
+def annulus_distortions(rho1: float, rho2: float, alphas, rho0: float) -> np.ndarray:
+    """:func:`annulus_distortion` at each half-apex angle of a 1-D ``alphas``.
+
+    The arguments are checked once.  The per-angle sin and log1p stay in
+    ``math``, so every value equals the scalar function's bit for bit.
+    """
     if not -1.0 < rho1 < rho2 < 1.0:
         raise ValueError(f"need -1 < rho1 < rho2 < 1, got ({rho1}, {rho2})")
-    if not 0.0 < alpha < math.pi / 2.0:
-        raise ValueError(f"alpha must lie in (0, pi/2), got {alpha}")
+    alphas = np.asarray(alphas, dtype=float).ravel()
+    bad = ~((alphas > 0.0) & (alphas < math.pi / 2.0))
+    if bad.any():
+        raise ValueError(f"alpha must lie in (0, pi/2), got {alphas[bad][0]}")
     _check_open_unit("rho0", rho0)
-    return _distortion_in_a(rho1, rho2, math.sin(alpha), rho0)
+    delta = _distortion_in_a(rho1, rho2, rho0)
+    return np.array([delta(math.sin(alpha)) for alpha in alphas.tolist()])
 
 
 def optimal_alpha_by_root(rho1: float, rho2: float) -> float:
@@ -198,9 +223,7 @@ def optimal_alpha_by_scan(rho1: float, rho2: float) -> float:
     if not -1.0 < rho1 < rho2 < 1.0:
         raise ValueError(f"need -1 < rho1 < rho2 < 1, got ({rho1}, {rho2})")
 
-    def delta(a: float) -> float:
-        return _distortion_in_a(rho1, rho2, a, rho1)
-
+    delta = _distortion_in_a(rho1, rho2, rho1)
     a_best, _ = _golden_section(delta, -1.0 + 1e-9, 1.0 - 1e-9, 1e-12, maximize=False)
     return math.asin(a_best)
 
@@ -265,19 +288,15 @@ def profile_distortion(profile: "MeridianProfile", n_grid: int = 4097) -> Distor
     eps[0], eps[-1] = eps_hi, eps_lo
 
     sa = profile.cone.sin_alpha
-    s_vals = np.asarray(profile.s(eps), dtype=float)
-    sp_vals = np.asarray(profile.s_prime(eps), dtype=float)
-    if np.any(s_vals <= 0.0):
+    h_m, h_p = profile.stretches(eps)
+    if np.any(h_p <= 0.0):
         raise NonPositiveStretch("profile slant distance vanishes on the annulus")
-    if np.any(sp_vals <= 0.0):
+    if np.any(h_m <= 0.0):
         raise NonPositiveStretch("profile slant derivative vanishes on the annulus")
 
     directions = (
-        (np.log(sp_vals), lambda e: math.log(float(profile.s_prime(e)))),
-        (
-            np.log(s_vals * sa / np.sin(eps)),
-            lambda e: math.log(float(profile.s(e)) * sa / math.sin(e)),
-        ),
+        (np.log(h_m), lambda e: math.log(float(profile.s_prime(e)))),
+        (np.log(h_p), lambda e: math.log(float(profile.s(e)) * sa / math.sin(e))),
     )
 
     # (value, rho, eps) candidates; ties resolve toward smaller rho.

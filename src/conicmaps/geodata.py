@@ -14,12 +14,18 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ParseError, ValidationError
 from .projections import DEFAULT_CUT_LONGITUDE, MeridianProfile
 from .sphere import SphericalAnnulus
 
 # Densification ceiling for generated polylines, in degrees of arc.
 _MAX_VERTEX_SPACING_DEG = 0.25
+
+# The JSON value types accepted as a coordinate; bool is excluded although it
+# is an int subclass.
+_JSON_NUMBERS = (int, float)
 
 
 @dataclass(frozen=True)
@@ -54,22 +60,29 @@ class ParsedLines:
 
 @dataclass(frozen=True)
 class CurveTable:
-    """Rectangular numeric table with named columns."""
+    """Rectangular numeric table with named columns.
+
+    ``rows`` may be any sequence of rows or a 2-D array; it is stored as a
+    tuple of tuples of floats.
+    """
 
     columns: tuple
     rows: tuple
 
     def __post_init__(self):
         cols = tuple(str(c) for c in self.columns)
-        rows = tuple(tuple(float(v) for v in row) for row in self.rows)
-        for row in rows:
-            if len(row) != len(cols):
-                raise ValueError("ragged table row")
-            for v in row:
-                if not math.isfinite(v):
-                    raise ValueError("non-finite table entry")
+        try:
+            values = np.array(self.rows, dtype=float)
+        except ValueError as exc:
+            raise ValueError("ragged table row") from exc
+        if len(values) == 0:
+            values = values.reshape(0, len(cols))
+        if values.shape[1:] != (len(cols),):
+            raise ValueError("ragged table row")
+        if not np.isfinite(values).all():
+            raise ValueError("non-finite table entry")
         object.__setattr__(self, "columns", cols)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", tuple(map(tuple, values.tolist())))
 
 
 @dataclass(frozen=True)
@@ -95,6 +108,8 @@ def parse_geojson_lines(document: str) -> ParsedLines:
         obj = json.loads(document)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc.msg}", exc.lineno, exc.colno) from exc
+    except (RecursionError, ValueError) as exc:  # nesting too deep, huge integer
+        raise ParseError(f"malformed JSON: {exc}") from exc
 
     lines: list[GeoPolyline] = []
     ignored = 0
@@ -118,10 +133,19 @@ def parse_geojson_lines(document: str) -> ParsedLines:
     def _polyline(name, coords):
         if not isinstance(coords, list):
             raise ValidationError(f"{name}: bad coordinate array")
-        try:
-            pts = [(c[0], c[1]) for c in coords]
-        except (TypeError, IndexError) as exc:
-            raise ValidationError(f"{name}: bad coordinate array") from exc
+        pts = []
+        for c in coords:
+            if not (
+                type(c) is list
+                and len(c) >= 2
+                and type(c[0]) in _JSON_NUMBERS
+                and type(c[1]) in _JSON_NUMBERS
+            ):
+                raise ValidationError(f"{name}: bad coordinate {c!r:.60}")
+            try:
+                pts.append((float(c[0]), float(c[1])))
+            except OverflowError as exc:
+                raise ValidationError(f"{name}: coordinate {c!r:.60} out of range") from exc
         return GeoPolyline(name, pts)
 
     def walk(node, name):
@@ -283,19 +307,14 @@ def project_polylines(
     """Map polylines onto the drawing plane of a projection profile.
 
     Vertices are converted to (longitude offset from the central meridian,
-    rho); chains are split where they cross the cut meridian, clipped to the
-    annulus band, then mapped pointwise.  Input polylines that vanish
-    entirely in clipping are dropped and counted.
+    rho); chains are split where they cross the cut meridian and clipped to
+    the annulus band.  Then one array call of the profile places every
+    vertex of a line's pieces.  Input polylines that vanish entirely in
+    clipping are dropped and counted.
     """
     center_deg = math.degrees(cut) % 360.0 - 180.0
     sa = profile.sin_alpha
     rho_lo, rho_hi = profile.rho1, profile.rho2
-
-    def to_plane(off_deg, rho):
-        rho = min(max(rho, rho_lo), rho_hi)
-        psi = math.radians(off_deg) * sa
-        slant = float(profile.s(math.acos(rho)))
-        return (slant * math.sin(psi), -slant * math.cos(psi))
 
     paths = []
     dropped = 0
@@ -304,29 +323,48 @@ def project_polylines(
             (_wrap_offset_deg(lon - center_deg), math.sin(math.radians(lat)))
             for lon, lat in line.points
         ]
-        produced = 0
-        for piece in _split_at_seam(chain):
-            for clipped in _clip_to_band(piece, rho_lo, rho_hi):
-                paths.append([to_plane(o, r) for o, r in clipped])
-                produced += 1
-        if produced == 0:
+        pieces = [
+            clipped
+            for piece in _split_at_seam(chain)
+            for clipped in _clip_to_band(piece, rho_lo, rho_hi)
+        ]
+        if not pieces:
             dropped += 1
+            continue
+        off, rho = np.array([v for piece in pieces for v in piece]).T
+        slant = profile.s(np.arccos(np.minimum(np.maximum(rho, rho_lo), rho_hi)))
+        psi = np.radians(off) * sa
+        xs = (slant * np.sin(psi)).tolist()
+        ys = (-slant * np.cos(psi)).tolist()
+        start = 0
+        for piece in pieces:
+            stop = start + len(piece)
+            paths.append(list(zip(xs[start:stop], ys[start:stop])))
+            start = stop
     return ProjectedPaths(paths, dropped)
 
 
-def write_csv(table: CurveTable, path) -> None:
+def _write_text(text: str, dest, what: str) -> None:
+    """Write ``text`` to a text stream, or to a file at path ``dest``."""
+    if hasattr(dest, "write"):
+        dest.write(text)
+        return
+    try:
+        with open(dest, "w", newline="\n", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write {what} to {dest}: {exc}") from exc
+
+
+def write_csv(table: CurveTable, dest) -> None:
     """CSV with a header row, '.' decimals, 17 significant digits, LF ends.
 
-    The 17-digit format makes the write/read round trip bit-exact for every
-    IEEE double.
+    ``dest`` is a path or a text stream.  The 17-digit format makes the
+    write/read round trip bit-exact for every IEEE double.
     """
-    try:
-        with open(path, "w", newline="\n", encoding="ascii") as fh:
-            fh.write(",".join(table.columns) + "\n")
-            for row in table.rows:
-                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write CSV to {path}: {exc}") from exc
+    row_format = ",".join(["%.17g"] * len(table.columns)) + "\n"
+    body = "".join([row_format % row for row in table.rows])
+    _write_text(",".join(table.columns) + "\n" + body, dest, "CSV")
 
 
 def render_svg(layer_groups) -> str:
@@ -368,11 +406,9 @@ def render_svg(layer_groups) -> str:
     return "\n".join(out) + "\n"
 
 
-def write_svg(paths, style: SvgStyle, path) -> None:
-    """Write one group of polylines as a standalone SVG document."""
-    doc = render_svg([(style, list(paths))])
-    try:
-        with open(path, "w", newline="\n", encoding="ascii") as fh:
-            fh.write(doc)
-    except OSError as exc:
-        raise OSError(f"cannot write SVG to {path}: {exc}") from exc
+def write_svg(paths, style: SvgStyle, dest, overlays=()) -> None:
+    """Write polylines as a standalone SVG document to a path or text stream.
+
+    ``overlays`` are further (SvgStyle, paths) groups drawn on top.
+    """
+    _write_text(render_svg([(style, list(paths)), *overlays]), dest, "SVG")

@@ -113,6 +113,14 @@ class MeridianProfile:
     def sin_alpha(self) -> float:
         return self.cone.sin_alpha
 
+    def stretches(self, eps) -> tuple[np.ndarray, np.ndarray]:
+        """Principal stretches (h_meridian, h_parallel) at colatitudes ``eps``.
+
+        One call of ``s`` and one of ``s_prime`` over the whole array.
+        """
+        eps = np.asarray(eps, dtype=float)
+        return self.s_prime(eps), self.s(eps) * self.sin_alpha / np.sin(eps)
+
 
 def make_profile(kind: str, params: ProjectionParams) -> MeridianProfile:
     """Construct the meridian profile for one projection kind."""
@@ -259,9 +267,7 @@ def stretch_at(profile: MeridianProfile, rho: float) -> StretchSample:
     """Principal stretches and bi-Lipschitz constant at one height."""
     _check_in_annulus(profile, rho)
     rho = min(max(rho, profile.rho1), profile.rho2)
-    eps = math.acos(rho)
-    h_m = float(profile.s_prime(eps))
-    h_p = float(profile.s(eps)) * profile.sin_alpha / math.sin(eps)
+    h_m, h_p = (float(h) for h in profile.stretches(math.acos(rho)))
     sigma = max(h_m, h_p, 1.0 / h_m, 1.0 / h_p)
     return StretchSample(rho, h_m, h_p, sigma)
 
