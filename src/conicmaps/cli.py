@@ -1,8 +1,18 @@
 """Command-line front end: optimize | table | curves | project | reproduce.
 
-Exit codes: 0 success, 1 a reproduction target missed, 2 invalid parameters,
-3 unreadable/unparseable input file, 4 cannot write output.  All numeric
-output is locale independent.
+Every subcommand takes the band: --rho1/--rho2 (heights) or --lat1/--lat2
+(latitudes, radians unless --degrees).  Each one parses only the options it
+reads:
+
+* ``optimize``: --samples, --csv, --scan;
+* ``table``: --samples (accepted and ignored), --csv;
+* ``curves``: --samples, --csv;
+* ``project``: --kind, --cut, --alpha, --out and an optional GeoJSON file;
+* ``reproduce``: the band only.
+
+Exit codes: 0 success, 1 a reproduction target missed, 2 invalid parameters
+(including an option the subcommand does not take), 3 unreadable/unparseable
+input file, 4 cannot write output.  All numeric output is locale independent.
 """
 
 from __future__ import annotations
@@ -10,7 +20,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +30,7 @@ from .distortion import (
     optimal_alpha_by_root,
     optimal_alpha_by_scan,
 )
-from .cone import ConicalAnnulus, cone_annulus_modulus, sphere_cone_intersections
+from .cone import sphere_cone_intersections
 from .errors import NonPositiveStretch, ParseError, ValidationError
 
 # render_svg and stretch_at are not called here, but benchmarks/tracing.py
@@ -37,7 +46,7 @@ from .geodata import (  # noqa: F401
     write_svg,
 )
 from .projections import ProjectionParams, compare_all, make_profile, stretch_at  # noqa: F401
-from .sphere import SphericalAnnulus, annulus_modulus
+from .sphere import SphericalAnnulus
 
 # Heights of the canonical annulus: the band spanned by the historical
 # Russian-Empire maps, bounded by the parallels at 47.5 and 62.5 degrees.
@@ -64,22 +73,6 @@ REPRODUCTION_TARGETS = {
 }
 
 
-@dataclass
-class RunConfig:
-    """Resolved parameters of one CLI invocation."""
-
-    rho1: float
-    rho2: float
-    kind: str
-    cut: float
-    samples: int | None
-    out: str | None
-    csv: str | None
-    alpha_override: float | None
-    scan: bool
-    geojson: str | None
-
-
 def _degree_minutes(rad: float) -> str:
     total_min = math.degrees(rad) * 60.0
     deg = int(total_min // 60.0)
@@ -87,7 +80,7 @@ def _degree_minutes(rad: float) -> str:
     return f"{deg}\N{DEGREE SIGN}{minutes:04.1f}\N{PRIME}"
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_band(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--rho1",
         type=float,
@@ -103,8 +96,42 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--degrees",
         action="store_true",
-        help="interpret --lat1/--lat2/--alpha as degrees instead of radians",
+        help="interpret --lat1/--lat2 (and project's --alpha) as degrees "
+        "instead of radians",
     )
+
+
+def _add_csv_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--samples", type=int, help="sample count")
+    p.add_argument("--csv", help="CSV output file")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="conicmaps",
+        description="Conical projections of a spherical band and their distortion.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("optimize", help="optimal half-apex angle and distortion")
+    _add_band(p)
+    _add_csv_options(p)
+    p.add_argument(
+        "--scan",
+        action="store_true",
+        help="also emit the (sin alpha, distortion) curve as CSV",
+    )
+
+    p = sub.add_parser("table", help="distortion table of the six projections")
+    _add_band(p)
+    _add_csv_options(p)
+
+    p = sub.add_parser("curves", help="bi-Lipschitz curves of the six projections")
+    _add_band(p)
+    _add_csv_options(p)
+
+    p = sub.add_parser("project", help="render a projected map as SVG")
+    _add_band(p)
     p.add_argument("--alpha", type=float, help="half-apex angle override (Lambert only)")
     p.add_argument(
         "--kind",
@@ -119,34 +146,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         help="longitude (degrees) of the meridian the cone is cut along "
         "(default: 180, the antimeridian)",
     )
-    p.add_argument("--samples", type=int, help="sample count where applicable")
-    p.add_argument("--out", help="output file (SVG for `project`)")
-    p.add_argument("--csv", help="CSV output file")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="conicmaps",
-        description="Conical projections of a spherical band and their distortion.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("optimize", help="optimal half-apex angle and distortion")
-    _add_common(p)
-    p.add_argument(
-        "--scan",
-        action="store_true",
-        help="also emit the (sin alpha, distortion) curve as CSV",
-    )
-
-    p = sub.add_parser("table", help="distortion table of the six projections")
-    _add_common(p)
-
-    p = sub.add_parser("curves", help="bi-Lipschitz curves of the six projections")
-    _add_common(p)
-
-    p = sub.add_parser("project", help="render a projected map as SVG")
-    _add_common(p)
+    p.add_argument("--out", help="SVG output file (default: stdout)")
     p.add_argument(
         "geojson",
         nargs="?",
@@ -154,11 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("reproduce", help="check all published reference values")
-    _add_common(p)
+    _add_band(p)
     return parser
 
 
-def _resolve(args: argparse.Namespace) -> RunConfig:
+def _resolve(args: argparse.Namespace) -> None:
+    """Replace the band options of ``args`` by the heights rho1 < rho2."""
     if (args.rho1 is not None or args.rho2 is not None) and (
         args.lat1 is not None or args.lat2 is not None
     ):
@@ -178,28 +179,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             f"invalid band: need -1 < rho1 < rho2 < 1, got rho1={rho1:.6g}, "
             f"rho2={rho2:.6g}"
         )
-    if not math.isfinite(args.cut):
-        raise ValueError(f"--cut must be a finite longitude, got {args.cut}")
-    alpha = args.alpha
-    if alpha is not None and not math.isfinite(alpha):
-        raise ValueError(f"--alpha must be finite, got {alpha}")
-    if alpha is not None and args.degrees:
-        alpha = math.radians(alpha)
-    samples = args.samples
-    if samples is not None and samples < 2:
-        raise ValueError("--samples must be at least 2")
-    return RunConfig(
-        rho1=rho1,
-        rho2=rho2,
-        kind=args.kind,
-        cut=math.radians(args.cut),
-        samples=samples,
-        out=args.out,
-        csv=args.csv,
-        alpha_override=alpha,
-        scan=getattr(args, "scan", False),
-        geojson=getattr(args, "geojson", None),
-    )
+    args.rho1, args.rho2 = rho1, rho2
 
 
 def scan_table(rho1: float, rho2: float, n: int = 2001) -> CurveTable:
@@ -229,21 +209,28 @@ def sigma_table(rho1: float, rho2: float, n: int = 1001) -> CurveTable:
     return CurveTable(names, np.column_stack(columns))
 
 
-def cmd_optimize(cfg: RunConfig) -> int:
-    alpha_root = optimal_alpha_by_root(cfg.rho1, cfg.rho2)
-    alpha_scan = optimal_alpha_by_scan(cfg.rho1, cfg.rho2)
-    delta_min = annulus_distortion(cfg.rho1, cfg.rho2, alpha_root, cfg.rho1)
+def _samples(args: argparse.Namespace, default: int) -> int:
+    if args.samples is not None and args.samples < 2:
+        raise ValueError("--samples must be at least 2")
+    return args.samples or default
+
+
+def cmd_optimize(args: argparse.Namespace) -> int:
+    n = _samples(args, 2001)
+    alpha_root = optimal_alpha_by_root(args.rho1, args.rho2)
+    alpha_scan = optimal_alpha_by_scan(args.rho1, args.rho2)
+    delta_min = annulus_distortion(args.rho1, args.rho2, alpha_root, args.rho1)
     print(f"a0 = {math.sin(alpha_root):.10g}")
     print(f"alpha0 = {alpha_root:.10g} rad = {_degree_minutes(alpha_root)}")
     print(f"delta_min = {delta_min:.10g}")
     print(f"root/scan agreement = {abs(alpha_root - alpha_scan):.3g} rad")
-    if cfg.scan:
-        write_csv(scan_table(cfg.rho1, cfg.rho2, cfg.samples or 2001), cfg.csv or sys.stdout)
+    if args.scan:
+        write_csv(scan_table(args.rho1, args.rho2, n), args.csv or sys.stdout)
     return 0
 
 
-def cmd_table(cfg: RunConfig) -> int:
-    reports = compare_all(ProjectionParams(cfg.rho1, cfg.rho2))
+def cmd_table(args: argparse.Namespace) -> int:
+    reports = compare_all(ProjectionParams(args.rho1, args.rho2))
     print(f"{'kind':<22}{'distortion':>14}{'sup_stretch':>14}{'inf_stretch':>14}")
     rows = []
     for kind, rep in reports:
@@ -252,53 +239,54 @@ def cmd_table(cfg: RunConfig) -> int:
             f"{math.exp(rep.inf_log):>14.10f}"
         )
         rows.append((rep.delta, math.exp(rep.sup_log), math.exp(rep.inf_log)))
-    if cfg.csv:
+    if args.csv:
         table = CurveTable(
             ("kind_index", "distortion", "sup_stretch", "inf_stretch"),
             [(float(i),) + row for i, row in enumerate(rows)],
         )
-        write_csv(table, cfg.csv)
+        write_csv(table, args.csv)
     return 0
 
 
-def cmd_curves(cfg: RunConfig) -> int:
-    write_csv(sigma_table(cfg.rho1, cfg.rho2, cfg.samples or 1001), cfg.csv or sys.stdout)
+def cmd_curves(args: argparse.Namespace) -> int:
+    n = _samples(args, 1001)
+    write_csv(sigma_table(args.rho1, args.rho2, n), args.csv or sys.stdout)
     return 0
 
 
-def cmd_project(cfg: RunConfig) -> int:
-    params = ProjectionParams(cfg.rho1, cfg.rho2, cfg.alpha_override)
-    profile = make_profile(cfg.kind, params)
-    annulus = SphericalAnnulus(cfg.rho1, cfg.rho2)
-    grat = project_polylines(profile, graticule(10.0, 5.0, annulus), cfg.cut)
+def cmd_project(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.cut):
+        raise ValueError(f"--cut must be a finite longitude, got {args.cut}")
+    alpha = args.alpha
+    if alpha is not None and not math.isfinite(alpha):
+        raise ValueError(f"--alpha must be finite, got {alpha}")
+    if alpha is not None and args.degrees:
+        alpha = math.radians(alpha)
+    cut = math.radians(args.cut)
+    profile = make_profile(args.kind, ProjectionParams(args.rho1, args.rho2, alpha))
+    annulus = SphericalAnnulus(args.rho1, args.rho2)
+    grat = project_polylines(profile, graticule(10.0, 5.0, annulus), cut)
     overlays = []
-    if cfg.geojson:
+    if args.geojson:
         try:
-            with open(cfg.geojson, "r", encoding="utf-8") as fh:
+            with open(args.geojson, "r", encoding="utf-8") as fh:
                 parsed = parse_geojson_lines(fh.read())
         except (OSError, UnicodeDecodeError) as exc:
-            raise ParseError(f"cannot read {cfg.geojson}: {exc}") from exc
-        coast = project_polylines(profile, parsed.lines, cfg.cut)
+            raise ParseError(f"cannot read {args.geojson}: {exc}") from exc
+        coast = project_polylines(profile, parsed.lines, cut)
         overlays.append((SvgStyle(stroke="black", stroke_width=0.003), coast.paths))
     write_svg(
         grat.paths,
         SvgStyle(stroke="#999999", stroke_width=0.0015),
-        cfg.out or sys.stdout,
+        args.out or sys.stdout,
         overlays,
     )
     return 0
 
 
-def _reproduction_rows(cfg: RunConfig) -> list[tuple[str, float, float, float]]:
-    rho1, rho2 = cfg.rho1, cfg.rho2
+def _reproduction_rows(rho1: float, rho2: float) -> list[tuple[str, float, float, float]]:
     params = ProjectionParams(rho1, rho2)
-
-    mod_a = annulus_modulus(SphericalAnnulus(rho1, rho2))
-    profile_t = make_profile(projections.KIND_TEICHMULLER, params)
-    cone = profile_t.cone
-    s1 = math.sqrt(1.0 - rho1 * rho1) / cone.sin_alpha
-    s2 = math.sqrt(1.0 - rho2 * rho2) / cone.sin_alpha
-    mod_b = cone_annulus_modulus(ConicalAnnulus(cone, s2, s1))
+    teichmuller = make_profile(projections.KIND_TEICHMULLER, params).aux
 
     alpha_root = optimal_alpha_by_root(rho1, rho2)
     alpha_scan = optimal_alpha_by_scan(rho1, rho2)
@@ -307,9 +295,9 @@ def _reproduction_rows(cfg: RunConfig) -> list[tuple[str, float, float, float]]:
     _, upper = sphere_cone_intersections(lambert_cone)
 
     rows = [
-        ("mod_sphere_annulus", mod_a),
-        ("mod_cone_annulus", mod_b),
-        ("teichmuller_dilatation", mod_b / mod_a),
+        ("mod_sphere_annulus", teichmuller["mod_sphere"]),
+        ("mod_cone_annulus", teichmuller["mod_cone"]),
+        ("teichmuller_dilatation", teichmuller["dilatation"]),
         ("optimal_sin_alpha_root", math.sin(alpha_root)),
         ("optimal_sin_alpha_scan", math.sin(alpha_scan)),
         ("root_scan_agreement_rad", abs(alpha_root - alpha_scan)),
@@ -324,8 +312,8 @@ def _reproduction_rows(cfg: RunConfig) -> list[tuple[str, float, float, float]]:
     ]
 
 
-def cmd_reproduce(cfg: RunConfig) -> int:
-    rows = _reproduction_rows(cfg)
+def cmd_reproduce(args: argparse.Namespace) -> int:
+    rows = _reproduction_rows(args.rho1, args.rho2)
     width = max(len(r[0]) for r in rows)
     print(f"{'target':<{width}}  {'reference':>14}  {'computed':>18}  "
           f"{'abs_err':>10}  result")
@@ -366,8 +354,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _resolve(args)
-        return _COMMANDS[args.command](cfg)
+        _resolve(args)
+        return _COMMANDS[args.command](args)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

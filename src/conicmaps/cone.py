@@ -132,30 +132,22 @@ def cone_touching_parallel(alpha: float, rho0: float) -> Cone:
     """Cone with half-apex angle ``alpha`` whose lower intersection circle
     with the sphere is the parallel at height ``rho0``.
 
-    The apex sits at rho0 + apex_offset(alpha, rho0).  Construction fails
-    when the cone would miss the sphere (apex_z * sin(alpha) >= 1) or when
-    the requested parallel is the upper of the two intersection circles.
+    The apex sits at apex_z = rho0 + apex_offset(alpha, rho0).  Since
+    apex_z * sin(alpha) = cos(alpha - asin(rho0)) <= 1, the parallel is the
+    lower of the two intersection circles exactly when sin(alpha) > rho0;
+    sin(alpha) = rho0 is tangency and sin(alpha) < rho0 puts the parallel on
+    the upper circle.  Both are rejected.
     """
     if not 0.0 < alpha < math.pi / 2.0:
         raise ValueError(f"half-apex angle must lie in (0, pi/2), got {alpha}")
     if not -1.0 < rho0 < 1.0:
         raise ValueError(f"rho0 must lie in (-1, 1), got {rho0}")
-    apex_z = rho0 + apex_offset(alpha, rho0)
-    sa = math.sin(alpha)
-    if apex_z * sa >= 1.0:
+    if math.sin(alpha) <= rho0:
         raise ConditionViolation(
-            f"(apex_offset + rho0) * sin(alpha) = {apex_z * sa:.6g} >= 1: "
-            "the cone does not cross the sphere in two circles"
+            f"sin(alpha) = {math.sin(alpha):.9g} <= rho0 = {rho0}: the parallel "
+            "is not the lower intersection circle of the cone and the sphere"
         )
-    # The lower root of the height quadratic must be rho0 itself; otherwise
-    # the parallel would be the upper circle and the construction is invalid.
-    lower = apex_z * sa * sa - math.cos(alpha) * math.sqrt(1.0 - (apex_z * sa) ** 2)
-    if abs(lower - rho0) > 1e-10:
-        raise ConditionViolation(
-            f"parallel at height {rho0} is not the lower intersection circle "
-            f"(lower circle sits at {lower:.9g})"
-        )
-    return Cone(alpha, apex_z)
+    return Cone(alpha, rho0 + apex_offset(alpha, rho0))
 
 
 def cone_through_parallels(rho1: float, rho2: float) -> Cone:
@@ -206,7 +198,7 @@ def develop(c: Cone, p: ConePoint) -> PlanarPoint:
     if p.cone != c:
         raise ValueError("point does not lie on this cone")
     ang = p.theta * c.sin_alpha
-    return PlanarPoint(p.slant * math.cos(ang), p.slant * math.sin(ang), "sector")
+    return PlanarPoint(p.slant * math.cos(ang), p.slant * math.sin(ang))
 
 
 def cone_annulus_modulus(b: ConicalAnnulus) -> float:

@@ -106,7 +106,7 @@ def sphere_to_plane(chart: LambertChart, p: SphericalPoint) -> PlanarPoint:
     """Inverse of :func:`plane_to_sphere` (the inversion is an involution)."""
     w = stereographic_project(p).complex
     z = chart.r_norm * chart._u0 / w
-    return PlanarPoint(z.real, z.imag, "z")
+    return PlanarPoint(z.real, z.imag)
 
 
 def lambert_map(chart: LambertChart, p: SphericalPoint) -> ConePoint:

@@ -299,32 +299,17 @@ def profile_distortion(profile: "MeridianProfile", n_grid: int = 4097) -> Distor
         (np.log(h_p), lambda e: math.log(float(profile.s(e)) * sa / math.sin(e))),
     )
 
-    # (value, rho, eps) candidates; ties resolve toward smaller rho.
-    best_sup: tuple[float, float] | None = None
-    best_inf: tuple[float, float] | None = None
+    # (value, rho) candidates of each extreme.
+    sups: list[tuple[float, float]] = []
+    infs: list[tuple[float, float]] = []
     for values, scalar_f in directions:
-        for maximize in (True, False):
+        for maximize, found in ((True, sups), (False, infs)):
             idx_best = int(np.argmax(values) if maximize else np.argmin(values))
             for idx in {idx_best, 0, n_grid - 1}:
                 e_star, v_star = _refine_extremum(scalar_f, eps, values, idx, maximize)
-                rho_star = math.cos(e_star)
-                if maximize:
-                    cand = (v_star, rho_star)
-                    if (
-                        best_sup is None
-                        or cand[0] > best_sup[0]
-                        or (cand[0] == best_sup[0] and cand[1] < best_sup[1])
-                    ):
-                        best_sup = cand
-                else:
-                    cand = (v_star, rho_star)
-                    if (
-                        best_inf is None
-                        or cand[0] < best_inf[0]
-                        or (cand[0] == best_inf[0] and cand[1] < best_inf[1])
-                    ):
-                        best_inf = cand
+                found.append((v_star, math.cos(e_star)))
 
-    sup_log, arg_sup = best_sup
-    inf_log, arg_inf = best_inf
+    # Value ties resolve toward the smaller height.
+    sup_log, arg_sup = min(sups, key=lambda c: (-c[0], c[1]))
+    inf_log, arg_inf = min(infs)
     return DistortionReport(sup_log, inf_log, sup_log - inf_log, arg_sup, arg_inf)

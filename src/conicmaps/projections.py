@@ -89,8 +89,8 @@ class MeridianProfile:
 
     ``eps_hi < eps_lo``: the upper parallel (height rho2) has the smaller
     colatitude.  ``s`` and ``s_prime`` accept scalars or numpy arrays.
-    ``aux`` carries per-kind derived constants (scale factor, dilatation,
-    optimal angle) for reporting.
+    ``aux`` carries per-kind derived constants (scale factor, dilatation and
+    both moduli, optimal angle) for reporting.
     """
 
     kind: str
@@ -122,6 +122,33 @@ class MeridianProfile:
         return self.s_prime(eps), self.s(eps) * self.sin_alpha / np.sin(eps)
 
 
+def _power_profile(kind, cone, eps1, eps2, s1, m, aux) -> MeridianProfile:
+    """Radial power map s = s1 * (tan(eps/2) / tan(eps1/2))**m."""
+    t1 = math.tan(0.5 * eps1)
+
+    def s(e):
+        return s1 * (np.tan(0.5 * np.asarray(e, dtype=float)) / t1) ** m
+
+    def s_prime(e):
+        e = np.asarray(e, dtype=float)
+        return s(e) * m / np.sin(e)
+
+    return MeridianProfile(kind, cone, eps1, eps2, s, s_prime, aux)
+
+
+def _affine_profile(kind, cone, eps1, eps2, s_a, eps_a, k, aux) -> MeridianProfile:
+    """Profile affine in colatitude: s = s_a + k * (eps - eps_a)."""
+
+    def s(e):
+        e = np.asarray(e, dtype=float)
+        return s_a + k * (e - eps_a)
+
+    def s_prime(e):
+        return np.full_like(np.asarray(e, dtype=float), k)
+
+    return MeridianProfile(kind, cone, eps1, eps2, s, s_prime, aux)
+
+
 def make_profile(kind: str, params: ProjectionParams) -> MeridianProfile:
     """Construct the meridian profile for one projection kind."""
     rho1, rho2 = params.rho1, params.rho2
@@ -134,21 +161,10 @@ def make_profile(kind: str, params: ProjectionParams) -> MeridianProfile:
             if params.alpha_override is not None
             else optimal_alpha_by_root(rho1, rho2)
         )
-        chart = lambert_chart(alpha0, rho1)
+        cone = lambert_chart(alpha0, rho1).cone
         a0 = math.sin(alpha0)
-        s_anchor = math.sqrt(1.0 - rho1 * rho1) / a0
-        t1 = math.tan(0.5 * eps1)
-
-        def s(e, _c=s_anchor, _t1=t1, _a=a0):
-            return _c * (np.tan(0.5 * np.asarray(e, dtype=float)) / _t1) ** _a
-
-        def s_prime(e, _a=a0):
-            e = np.asarray(e, dtype=float)
-            return s(e) * _a / np.sin(e)
-
-        return MeridianProfile(
-            kind, chart.cone, eps1, eps2, s, s_prime, {"sin_alpha0": a0}
-        )
+        s1 = math.sqrt(1.0 - rho1 * rho1) / a0
+        return _power_profile(kind, cone, eps1, eps2, s1, a0, {"sin_alpha0": a0})
 
     if params.alpha_override is not None:
         raise ValueError(
@@ -188,46 +204,18 @@ def make_profile(kind: str, params: ProjectionParams) -> MeridianProfile:
 
     if kind == KIND_DELISLE:
         scale = (s1 - s2) / (eps1 - eps2)
-
-        def s(e):
-            e = np.asarray(e, dtype=float)
-            return s2 + scale * (e - eps2)
-
-        def s_prime(e):
-            e = np.asarray(e, dtype=float)
-            return np.full_like(e, scale)
-
-        return MeridianProfile(kind, cone, eps1, eps2, s, s_prime, {"scale": scale})
+        return _affine_profile(kind, cone, eps1, eps2, s2, eps2, scale, {"scale": scale})
 
     if kind == KIND_DELISLE_EQUIDISTANT:
         # Meridians are isometric; the lower boundary circle is the anchor.
-        def s(e):
-            e = np.asarray(e, dtype=float)
-            return s1 - (eps1 - e)
-
-        def s_prime(e):
-            e = np.asarray(e, dtype=float)
-            return np.ones_like(e)
-
-        return MeridianProfile(kind, cone, eps1, eps2, s, s_prime)
+        return _affine_profile(kind, cone, eps1, eps2, s1, eps1, 1.0, {})
 
     if kind == KIND_TEICHMULLER:
         mod_sphere = annulus_modulus(SphericalAnnulus(rho1, rho2))
         mod_cone = cone_annulus_modulus(ConicalAnnulus(cone, s2, s1))
         dil = mod_cone / mod_sphere
-        exponent = dil * sa
-        t1 = math.tan(0.5 * eps1)
-
-        def s(e, _t1=t1, _m=exponent):
-            return s1 * (np.tan(0.5 * np.asarray(e, dtype=float)) / _t1) ** _m
-
-        def s_prime(e, _m=exponent):
-            e = np.asarray(e, dtype=float)
-            return s(e) * _m / np.sin(e)
-
-        return MeridianProfile(
-            kind, cone, eps1, eps2, s, s_prime, {"dilatation": dil}
-        )
+        aux = {"dilatation": dil, "mod_sphere": mod_sphere, "mod_cone": mod_cone}
+        return _power_profile(kind, cone, eps1, eps2, s1, dil * sa, aux)
 
     raise InvalidKind(f"unknown projection kind {kind!r}")
 
@@ -260,7 +248,7 @@ def project_point(
     offset = math.remainder(p.theta - cut_longitude - math.pi, TAU)
     psi = offset * profile.sin_alpha
     slant = float(profile.s(math.acos(p.rho)))
-    return PlanarPoint(slant * math.sin(psi), -slant * math.cos(psi), "map")
+    return PlanarPoint(slant * math.sin(psi), -slant * math.cos(psi))
 
 
 def stretch_at(profile: MeridianProfile, rho: float) -> StretchSample:

@@ -78,16 +78,10 @@ class SphericalAnnulus:
 
 @dataclass(frozen=True)
 class PlanarPoint:
-    """Point of one of the auxiliary planes.
-
-    ``role`` records which plane the coordinates live in: "w" for the
-    stereographic image plane, "z" for the normalized chart plane, "sector"
-    for the developed cone, "map" for the final drawing plane.
-    """
+    """Point of one of the auxiliary planes."""
 
     re: float
     im: float
-    role: str = "w"
 
     def __post_init__(self):
         _check_finite(self.re, self.im)
@@ -113,7 +107,7 @@ def stereographic_project(p: SphericalPoint) -> PlanarPoint:
     (in the limiting sense) and the north pole is out of the chart.
     """
     r = math.sqrt((1.0 + p.rho) / (1.0 - p.rho))
-    return PlanarPoint(r * math.cos(p.theta), r * math.sin(p.theta), "w")
+    return PlanarPoint(r * math.cos(p.theta), r * math.sin(p.theta))
 
 
 def stereographic_unproject(w: PlanarPoint | complex) -> SphericalPoint:

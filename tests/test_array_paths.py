@@ -160,6 +160,21 @@ class TestCliErrors:
         assert "finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--alpha", "0.5"],
+            ["table", "--kind", "central"],
+            ["curves", "--cut", "10"],
+            ["reproduce", "--out", "x.svg"],
+        ],
+    )
+    def test_option_of_another_subcommand_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "vertex", [[None, None], [True, 50], [10, False], ["a", "b"], "12", {"0": 1}, [10]]
     )
     def test_malformed_coordinate_exits_3(self, vertex, tmp_path, capsys):

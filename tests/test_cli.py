@@ -84,6 +84,14 @@ class TestTable:
             target, tol = PUBLISHED[f"distortion {kind}"]
             assert abs(delta - target) <= tol, kind
 
+    def test_narrow_band(self):
+        res = run_cli("table", "--rho1", "0.5", "--rho2", "0.5000001")
+        assert res.returncode == 0, res.stderr
+        rows = res.stdout.strip().split("\n")[1:]
+        assert len(rows) == 6
+        for line in rows:
+            assert all(math.isfinite(float(v)) for v in line.split()[1:]), line
+
 
 class TestCurves:
     def test_row_count_and_endpoints(self, tmp_path):

@@ -64,6 +64,13 @@ class TestConeTouchingParallel:
         with pytest.raises(ConditionViolation):
             cone_touching_parallel(math.asin(0.6), 0.6)
 
+    def test_near_tangency_accepted(self):
+        # sin(alpha) exceeds rho0 by 1e-12, so the parallel is still the
+        # lower circle; the intersection quadratic itself reads this cone as
+        # tangent, so the parallel is checked against the surface instead
+        cone = cone_touching_parallel(math.asin(0.5) + 1e-12, 0.5)
+        assert surface_residual(cone, (math.sqrt(0.75), 0.0, 0.5)) <= 1e-10
+
     def test_point_on_surface(self):
         cone = cone_touching_parallel(0.9, 0.5)
         p = cone.point(0.7, 1.1)
