@@ -9,6 +9,7 @@ from .cone import (
     cone_through_parallels,
     cone_touching_parallel,
     develop,
+    second_intersection_height,
     sphere_cone_intersections,
 )
 from .conformal import (

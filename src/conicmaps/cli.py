@@ -30,7 +30,7 @@ from .distortion import (
     optimal_alpha_by_root,
     optimal_alpha_by_scan,
 )
-from .cone import sphere_cone_intersections
+from .cone import second_intersection_height
 from .errors import NonPositiveStretch, ParseError, ValidationError
 
 # render_svg and stretch_at are not called here, but benchmarks/tracing.py
@@ -218,6 +218,12 @@ def _samples(args: argparse.Namespace, default: int) -> int:
 def cmd_optimize(args: argparse.Namespace) -> int:
     n = _samples(args, 2001)
     alpha_root = optimal_alpha_by_root(args.rho1, args.rho2)
+    if alpha_root <= 0.0:
+        raise ValueError(
+            f"rho1 + rho2 = {args.rho1 + args.rho2:.6g} gives the optimal "
+            f"a0 = {math.sin(alpha_root):.6g} <= 0, an upward cone; the domain "
+            "needs rho1 + rho2 > 0"
+        )
     alpha_scan = optimal_alpha_by_scan(args.rho1, args.rho2)
     delta_min = annulus_distortion(args.rho1, args.rho2, alpha_root, args.rho1)
     print(f"a0 = {math.sin(alpha_root):.10g}")
@@ -292,7 +298,7 @@ def _reproduction_rows(rho1: float, rho2: float) -> list[tuple[str, float, float
     alpha_scan = optimal_alpha_by_scan(rho1, rho2)
     delta_min = annulus_distortion(rho1, rho2, alpha_root, rho1)
     lambert_cone = make_profile(projections.KIND_LAMBERT, params).cone
-    _, upper = sphere_cone_intersections(lambert_cone)
+    upper = second_intersection_height(lambert_cone, rho1)
 
     rows = [
         ("mod_sphere_annulus", teichmuller["mod_sphere"]),

@@ -187,6 +187,25 @@ def sphere_cone_intersections(c: Cone) -> tuple[float, float]:
     return z_lo, z_hi
 
 
+def second_intersection_height(c: Cone, z0: float) -> float:
+    """Height of the other circle where a cone through the circle at height
+    ``z0`` crosses the unit sphere.
+
+    The two roots of the height quadratic sum to 2 A t^2 / (1 + t^2), so no
+    discriminant is taken: this holds also for a cone whose two circles are
+    closer than the tangency tolerance of :func:`sphere_cone_intersections`,
+    such as the Lambert cone of a very narrow band.  A root above the apex
+    raises :class:`NoIntersection` as there.
+    """
+    t2 = math.tan(c.alpha) ** 2
+    z = 2.0 * c.apex_z * t2 / (1.0 + t2) - z0
+    if z > c.apex_z + 1e-12:
+        raise NoIntersection(
+            "the downward nappe meets the sphere in fewer than two circles"
+        )
+    return z
+
+
 def develop(c: Cone, p: ConePoint) -> PlanarPoint:
     """Unroll the cone: the image of (slant, theta) is the sector point
     slant * exp(i * theta * sin(alpha)).

@@ -159,28 +159,26 @@ def optimal_alpha_by_root(rho1: float, rho2: float) -> float:
 
     The minimum is attained exactly where the two boundary parallels have
     equal stretch, i.e. at the unique root a0 of F(rho2, a, rho1) = 1.
-    log F(rho2, a, rho1) is strictly decreasing in a and changes sign on
-    (-1, 1), so plain bisection converges; iteration stops once
-    |F - 1| < 1e-14.  The root always satisfies rho1 < a0 < rho2.
+    log F(rho2, a, rho1) = (1 + a) p + (1 - a) m with p < 0 < m is strictly
+    decreasing in a and changes sign on (-1, 1).  p and m are taken as
+    log1p of the band width over 1 + rho1 and 1 - rho2, so a narrow band
+    loses no digits to cancellation, and bisection runs until the bracket
+    holds two adjacent doubles.  The root always satisfies rho1 < a0 < rho2.
     """
     if not -1.0 < rho1 < rho2 < 1.0:
         raise ValueError(f"need -1 < rho1 < rho2 < 1, got ({rho1}, {rho2})")
+    width = rho2 - rho1
+    p = -math.log1p(width / (1.0 + rho1))
+    m = math.log1p(width / (1.0 - rho2))
     lo, hi = -1.0 + 1e-12, 1.0 - 1e-12
-
-    def g(a: float) -> float:
-        return log_squared_stretch(rho2, a, rho1)
-
     mid = 0.5 * (lo + hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if abs(math.expm1(gm)) < 1e-14:
-            break
-        if gm > 0.0:
+    for _ in range(200):  # a root near 0 would otherwise bisect into subnormals
+        if (1.0 + mid) * p + (1.0 - mid) * m > 0.0:
             lo = mid
         else:
             hi = mid
-        if mid in (lo, hi) and hi - lo <= math.ulp(mid) * 2:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
             break
     return math.asin(mid)
 

@@ -5,7 +5,9 @@ latitude degrees in (-90, 90), converted once on projection to the internal
 (theta, rho) = (radians(lon) mod 2pi, sin(radians(lat))) coordinates.
 Clipping to the annulus and splitting at the cut meridian both happen in
 (longitude offset, rho) space, where the boundaries are coordinate-aligned;
-only the final step maps to the drawing plane.
+only the final step maps to the drawing plane.  Every stage is an array call
+over the vertices of all lines at once, and the SVG writer formats each path
+with one %-template.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -218,87 +221,6 @@ class ProjectedPaths:
     dropped: int
 
 
-def _wrap_offset_deg(raw: float) -> float:
-    """Wrap a longitude difference into [-180, 180], keeping the sign of an
-    exact +-180 so the two edges of the cut stay distinguishable."""
-    off = math.fmod(raw, 360.0)
-    if off > 180.0:
-        off -= 360.0
-    elif off < -180.0:
-        off += 360.0
-    return off
-
-
-def _split_at_seam(vertices: list) -> list:
-    """Split an (offset, rho) vertex chain wherever it crosses offset +-180."""
-    pieces = []
-    current = [vertices[0]]
-    for (o0, r0), (o1, r1) in zip(vertices, vertices[1:]):
-        d = o1 - o0
-        if abs(d) <= 180.0:
-            current.append((o1, r1))
-            continue
-        # unwrap the far vertex next to the near one, then cut at the seam
-        o1u = o1 - math.copysign(360.0, d)
-        if o1u == o0:
-            # edge-to-edge jump (o0 = +-180, o1 = -+180): same meridian seen
-            # from both sides of the cut; continue on the destination edge
-            pieces.append(current)
-            current = [(o1, r0), (o1, r1)]
-            continue
-        edge = math.copysign(180.0, o1u - o0)
-        t = (edge - o0) / (o1u - o0)
-        rc = r0 + t * (r1 - r0)
-        current.append((edge, rc))
-        pieces.append(current)
-        current = [(-edge, rc), (o1, r1)]
-    pieces.append(current)
-    return [p for p in pieces if len(p) >= 2]
-
-
-def _clip_to_band(vertices: list, rho_lo: float, rho_hi: float) -> list:
-    """Clip an (offset, rho) chain to rho_lo <= rho <= rho_hi, interpolating
-    linearly in (offset, rho); may return several pieces."""
-
-    def interp(a, b, rho_c):
-        t = (rho_c - a[1]) / (b[1] - a[1])
-        return (a[0] + t * (b[0] - a[0]), rho_c)
-
-    pieces = []
-    current: list = []
-    inside_prev = None
-    for i, v in enumerate(vertices):
-        inside = rho_lo <= v[1] <= rho_hi
-        if i == 0:
-            if inside:
-                current.append(v)
-            inside_prev = inside
-            continue
-        prev = vertices[i - 1]
-        if inside and inside_prev:
-            current.append(v)
-        elif inside and not inside_prev:
-            bound = rho_lo if prev[1] < rho_lo else rho_hi
-            current = [interp(prev, v, bound), v]
-        elif not inside and inside_prev:
-            bound = rho_lo if v[1] < rho_lo else rho_hi
-            current.append(interp(prev, v, bound))
-            if len(current) >= 2:
-                pieces.append(current)
-            current = []
-        else:
-            # both outside; the segment may still cross the whole band
-            lo, hi = sorted((prev[1], v[1]))
-            if lo < rho_lo and hi > rho_hi:
-                a = interp(prev, v, rho_lo)
-                b = interp(prev, v, rho_hi)
-                pieces.append([a, b] if prev[1] < v[1] else [b, a])
-        inside_prev = inside
-    if len(current) >= 2:
-        pieces.append(current)
-    return pieces
-
-
 def project_polylines(
     profile: MeridianProfile,
     lines: list,
@@ -306,42 +228,92 @@ def project_polylines(
 ) -> ProjectedPaths:
     """Map polylines onto the drawing plane of a projection profile.
 
-    Vertices are converted to (longitude offset from the central meridian,
-    rho); chains are split where they cross the cut meridian and clipped to
-    the annulus band.  Then one array call of the profile places every
-    vertex of a line's pieces.  Input polylines that vanish entirely in
+    The vertices of all lines are gathered into flat (longitude offset from
+    the central meridian, rho) arrays.  A segment whose offset jumps by more
+    than 180 degrees crosses the cut meridian and is split at the sector
+    edge; the pieces are then clipped to the annulus band, interpolating
+    linearly in (offset, rho).  The splits, the clip and the placement on the
+    plane are each a few array calls over every vertex at once, with one
+    call of the profile; no Python loop runs over vertices.  Each path is an
+    (n, 2) view of one array.  Input polylines that vanish entirely in
     clipping are dropped and counted.
     """
     center_deg = math.degrees(cut) % 360.0 - 180.0
-    sa = profile.sin_alpha
-    rho_lo, rho_hi = profile.rho1, profile.rho2
+    lo, hi = profile.rho1, profile.rho2
+    points = [line.points for line in lines]
+    counts = np.fromiter(map(len, points), dtype=np.intp, count=len(points))
+    flat = np.fromiter(
+        chain.from_iterable(chain.from_iterable(points)), dtype=float, count=2 * counts.sum()
+    )
+    line_id = np.repeat(np.arange(len(points)), counts)
+    first = np.diff(line_id, prepend=-1) != 0  # starts a piece
+    # fmod and the shifts are exact; an exact +-180 keeps its sign, so the two
+    # edges of the cut stay distinguishable
+    off = np.fmod(flat[0::2] - center_deg, 360.0)
+    off = np.where(off > 180.0, off - 360.0, off)
+    off = np.where(off < -180.0, off + 360.0, off)
+    rho = np.sin(np.radians(flat[1::2]))
 
-    paths = []
-    dropped = 0
-    for line in lines:
-        chain = [
-            (_wrap_offset_deg(lon - center_deg), math.sin(math.radians(lat)))
-            for lon, lat in line.points
-        ]
-        pieces = [
-            clipped
-            for piece in _split_at_seam(chain)
-            for clipped in _clip_to_band(piece, rho_lo, rho_hi)
-        ]
-        if not pieces:
-            dropped += 1
-            continue
-        off, rho = np.array([v for piece in pieces for v in piece]).T
-        slant = profile.s(np.arccos(np.minimum(np.maximum(rho, rho_lo), rho_hi)))
-        psi = np.radians(off) * sa
-        xs = (slant * np.sin(psi)).tolist()
-        ys = (-slant * np.cos(psi)).tolist()
-        start = 0
-        for piece in pieces:
-            stop = start + len(piece)
-            paths.append(list(zip(xs[start:stop], ys[start:stop])))
-            start = stop
-    return ProjectedPaths(paths, dropped)
+    # Split at the seam: unwrap the far vertex next to the near one and cut
+    # at the edge between them (a point on each edge), or, for an edge-to-edge
+    # jump (o0 = +-180, o1 = -+180, the same meridian seen from both sides),
+    # continue on the destination edge.
+    jumps = np.diff(off)
+    seam = np.flatnonzero((np.abs(jumps) > 180.0) & ~first[1:])
+    o0, r0, o1, r1 = off[seam], rho[seam], off[seam + 1], rho[seam + 1]
+    o1u = o1 - np.copysign(360.0, jumps[seam])
+    turn = o1u == o0
+    over = ~turn
+    edge = np.copysign(180.0, o1u[over] - o0[over])
+    t = (edge - o0[over]) / (o1u[over] - o0[over])
+    rc = r0[over] + t * (r1[over] - r0[over])
+    at = np.concatenate((seam[over], seam[over], seam[turn])) + 1
+    off = np.insert(off, at, np.concatenate((edge, -edge, o1[turn])))
+    rho = np.insert(rho, at, np.concatenate((rc, rc, r0[turn])))
+    first = np.insert(first, at, np.arange(len(at)) >= len(edge))
+    line_id = np.insert(line_id, at, line_id[at - 1])
+
+    # Clip to the band.  A piece keeps its inside vertices; a boundary point
+    # is added where it enters or leaves the band, and a segment with both
+    # ends outside that spans the band becomes a piece of two boundary
+    # points.  A piece of one vertex (an edge-to-edge first segment) is none.
+    # The boundary points go in segment order, so np.insert keeps a leaving
+    # point ahead of the next entering one at the same place.
+    inside = (lo <= rho) & (rho <= hi)
+    keep = inside & ~(first & np.roll(first, -1))
+    joined = ~first[1:]
+    ra, rb = rho[:-1], rho[1:]
+    enter = joined & ~inside[:-1] & inside[1:]
+    leave = joined & inside[:-1] & ~inside[1:]
+    spans = joined & ~inside[:-1] & ~inside[1:]
+    spans &= (np.minimum(ra, rb) < lo) & (np.maximum(ra, rb) > hi)
+    io, sp = np.flatnonzero(enter | leave), np.flatnonzero(spans)
+    outer = np.where(enter[io], ra[io], rb[io])
+    rising = ra[sp] < rb[sp]
+    segs = np.concatenate((io, sp, sp))
+    bound = np.concatenate(
+        (np.where(outer < lo, lo, hi), np.where(rising, lo, hi), np.where(rising, hi, lo))
+    )
+    starts = np.concatenate((enter[io], np.ones(len(sp), bool), np.zeros(len(sp), bool)))
+    order = np.argsort(segs, kind="stable")
+    segs, bound, starts = segs[order], bound[order], starts[order]
+    t = (bound - ra[segs]) / (rb[segs] - ra[segs])
+    edge_off = off[segs] + t * (off[segs + 1] - off[segs])
+    at = np.cumsum(keep)[segs]
+    off = np.insert(off[keep], at, edge_off)
+    rho = np.insert(rho[keep], at, bound)
+    first = np.insert(first[keep], at, starts)
+
+    drawn = np.zeros(len(points), bool)
+    drawn[line_id[keep]] = True
+    drawn[line_id[segs]] = True
+    dropped = len(points) - int(drawn.sum())
+    if not len(off):
+        return ProjectedPaths([], dropped)
+    slant = profile.s(np.arccos(rho))
+    psi = np.radians(off) * profile.sin_alpha
+    xy = np.column_stack((slant * np.sin(psi), -slant * np.cos(psi)))
+    return ProjectedPaths(np.split(xy, np.flatnonzero(first)[1:]), dropped)
 
 
 def _write_text(text: str, dest, what: str) -> None:
@@ -371,36 +343,40 @@ def render_svg(layer_groups) -> str:
     """Build a standalone SVG 1.1 document from styled path groups.
 
     ``layer_groups`` is a sequence of (SvgStyle, list-of-paths) pairs; each
-    path is a point sequence.  The viewBox is fitted to the geometry with a
-    2% margin; output is deterministic for identical input.
+    path is an (n, 2) array or a sequence of (x, y) points.  The viewBox is
+    fitted to the geometry with a 2% margin; output is deterministic for
+    identical input.  Each path is written with one %-template of n points.
     """
-    pts = [p for _, paths in layer_groups for path in paths for p in path]
-    if pts:
-        xs = [p[0] for p in pts]
-        ys = [p[1] for p in pts]
-        min_x, max_x = min(xs), max(xs)
-        min_y, max_y = min(ys), max(ys)
+    groups = [
+        (style, [np.asarray(path, dtype=float).reshape(-1, 2) for path in paths])
+        for style, paths in layer_groups
+    ]
+    pts = np.concatenate([path for _, paths in groups for path in paths] or [np.empty((0, 2))])
+    if len(pts):
+        min_x, min_y = pts.min(axis=0).tolist()
+        max_x, max_y = pts.max(axis=0).tolist()
     else:
         min_x = min_y = 0.0
         max_x = max_y = 1.0
     span = max(max_x - min_x, max_y - min_y, 1e-9)
     pad = 0.02 * span
-    fmt = lambda v: format(v, ".8f")
+    box = (min_x - pad, min_y - pad, max_x - min_x + 2 * pad, max_y - min_y + 2 * pad)
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="{fmt(min_x - pad)} {fmt(min_y - pad)} '
-        f'{fmt(max_x - min_x + 2 * pad)} {fmt(max_y - min_y + 2 * pad)}">',
+        'viewBox="%.8f %.8f %.8f %.8f">' % box,
     ]
-    for style, paths in layer_groups:
+    for style, paths in groups:
         out.append(
             f'<g fill="none" stroke="{style.stroke}" '
             f'stroke-width="{format(style.stroke_width, ".8g")}">'
         )
-        for path in paths:
-            d = "M " + " L ".join(f"{fmt(x)} {fmt(y)}" for x, y in path)
-            out.append(f'<path d="{d}"/>')
+        out.extend(
+            ('<path d="M ' + " L ".join(["%.8f %.8f"] * len(path)) + '"/>')
+            % tuple(path.ravel().tolist())
+            for path in paths
+        )
         out.append("</g>")
     out.append("</svg>")
     return "\n".join(out) + "\n"

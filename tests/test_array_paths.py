@@ -11,12 +11,16 @@ import pytest
 from conicmaps import (
     CurveTable,
     GeoPolyline,
+    SphericalAnnulus,
     SphericalPoint,
+    SvgStyle,
     annulus_distortions,
+    graticule,
     log_squared_stretch,
     make_profile,
     project_point,
     project_polylines,
+    render_svg,
     stretch_at,
     write_csv,
 )
@@ -198,3 +202,229 @@ class TestCliErrors:
         path.write_bytes(content)
         assert main(["project", str(path)]) == 3
         assert message in capsys.readouterr().err
+
+
+def _edge_latitudes():
+    """Latitudes near the canonical band's whose sines are exactly the edges
+    of the profile built on them: vertices there lie on a band edge."""
+    for k in range(100):
+        lat1, lat2 = 47.5 + 1e-3 * k, 62.5 + 1e-3 * k
+        params = ProjectionParams(math.sin(math.radians(lat1)), math.sin(math.radians(lat2)))
+        profile = make_profile("lambert", params)
+        if (profile.rho1, profile.rho2) == (params.rho1, params.rho2):
+            return lat1, lat2
+    raise AssertionError("no latitudes found")
+
+
+LAT_LO, LAT_HI = _edge_latitudes()
+_PARAMS = ProjectionParams(math.sin(math.radians(LAT_LO)), math.sin(math.radians(LAT_HI)))
+_PROFILES = {kind: make_profile(kind, _PARAMS) for kind in COMPARISON_ORDER}
+
+# (vertices, expected pieces) with the cut at 180: an int is the line's own
+# vertex, "lo"/"hi" a point on the lower/upper band edge, "edge" a point on a
+# sector edge (the cut meridian seen from one side).
+SPLIT_CLIP_CASES = {
+    "seam crossing": (
+        [(170.0, 50.0), (179.0, 51.0), (-178.0, 52.0), (-170.0, 53.0)],
+        [[0, 1, "edge"], ["edge", 2, 3]],
+    ),
+    "mirrored edge vertices": (
+        [(170.0, 50.0), (180.0, 51.0), (-180.0, 52.0), (-170.0, 53.0)],
+        [[0, "edge"], ["edge", "edge", 3]],
+    ),
+    "mirrored edge vertices first": (
+        [(180.0, 50.5), (-180.0, 51.5), (-176.0, 52.5)],
+        [["edge", "edge", 2]],
+    ),
+    "jump over the band": (
+        [(40.0, 40.0), (42.0, 70.0), (44.0, 30.0)],
+        [["lo", "hi"], ["hi", "lo"]],
+    ),
+    "single vertex inside": ([(60.0, 45.0), (61.0, 55.0), (62.0, 66.0)], [["lo", 1, "hi"]]),
+    "inside between two below": ([(70.0, 44.0), (71.0, 50.0), (72.0, 46.0)], [["lo", 1, "lo"]]),
+    "boundary parallels": (
+        [(10.0, LAT_LO), (10.0, 55.0), (12.0, LAT_HI), (14.0, LAT_HI)],
+        [[0, 1, 2, 3]],
+    ),
+    "seam then leaving": ([(175.0, 55.0), (-175.0, 70.0)], [[0, "edge"], ["edge", "hi"]]),
+    "outside": ([(0.0, 10.0), (20.0, 20.0), (40.0, 30.0)], []),
+}
+
+
+def _check_piece(profile, line, path, spec):
+    assert len(path) == len(spec)
+    edge_angle = math.pi * profile.sin_alpha
+    for (x, y), item in zip(np.asarray(path).tolist(), spec):
+        if item == "edge":
+            assert abs(abs(math.atan2(x, -y)) - edge_angle) <= 1e-12
+        elif item in ("lo", "hi"):
+            eps = profile.eps_lo if item == "lo" else profile.eps_hi
+            assert math.hypot(x, y) == pytest.approx(float(profile.s(eps)), rel=1e-12)
+        else:
+            lon, lat = line[item]
+            p = project_point(
+                profile, SphericalPoint(math.radians(lon), math.sin(math.radians(lat))), math.pi
+            )
+            assert abs(x - p.re) <= 1e-12 and abs(y - p.im) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", COMPARISON_ORDER)
+@pytest.mark.parametrize("case", sorted(SPLIT_CLIP_CASES))
+def test_split_and_clip_branches(kind, case):
+    profile = _PROFILES[kind]
+    vertices, spec = SPLIT_CLIP_CASES[case]
+    projected = project_polylines(profile, [GeoPolyline(case, vertices)], math.pi)
+    assert len(projected.paths) == len(spec)
+    assert projected.dropped == (0 if spec else 1)
+    for path, piece in zip(projected.paths, spec):
+        _check_piece(profile, vertices, path, piece)
+
+
+def test_split_and_clip_all_lines_in_one_call():
+    profile = _PROFILES["lambert"]
+    names = sorted(SPLIT_CLIP_CASES)
+    lines = [GeoPolyline(name, SPLIT_CLIP_CASES[name][0]) for name in names]
+    projected = project_polylines(profile, lines, math.pi)
+    pieces = [(name, piece) for name in names for piece in SPLIT_CLIP_CASES[name][1]]
+    assert projected.dropped == 1
+    assert len(projected.paths) == len(pieces)
+    for path, (name, piece) in zip(projected.paths, pieces):
+        _check_piece(profile, SPLIT_CLIP_CASES[name][0], path, piece)
+    # every path is a view of one (n, 2) array
+    base = projected.paths[0].base
+    assert base is not None and all(path.base is base for path in projected.paths)
+
+
+def _random_lines(rng, count=40):
+    lines = []
+    for k in range(count):
+        n = int(rng.integers(2, 30))
+        lon = (np.cumsum(rng.normal(0.0, 60.0, n)) + 180.0) % 360.0 - 180.0
+        lon[rng.random(n) < 0.1] = rng.choice([-180.0, 180.0])
+        lat = rng.uniform(40.0, 70.0, n)
+        lines.append(GeoPolyline(f"random {k}", list(zip(lon.tolist(), lat.tolist()))))
+    return lines
+
+
+@pytest.mark.parametrize("kind", COMPARISON_ORDER)
+@pytest.mark.parametrize("cut_deg", [180.0, -179.0, 0.0, 37.3])
+def test_random_lines_keep_every_inside_vertex(kind, cut_deg):
+    """Each vertex inside the band and off the cut survives, in order and in
+    place; every other output vertex lies on a band edge or a sector edge."""
+    profile = _PROFILES[kind]
+    cut = math.radians(cut_deg)
+    s_lo, s_hi = float(profile.s(profile.eps_lo)), float(profile.s(profile.eps_hi))
+    edge_angle = math.pi * profile.sin_alpha
+    for line in _random_lines(np.random.default_rng(int(cut_deg) + 500)):
+        projected = project_polylines(profile, [line], cut)
+        out = np.concatenate(projected.paths).tolist() if projected.paths else []
+        expected = []
+        for lon, lat in line.points:
+            p = SphericalPoint(math.radians(lon), math.sin(math.radians(lat)))
+            gap = (p.theta - cut) % (2.0 * math.pi)
+            if profile.rho1 <= p.rho <= profile.rho2 and min(gap, 2.0 * math.pi - gap) >= 1e-9:
+                expected.append(project_point(profile, p, cut))
+        found = 0
+        for x, y in out:
+            if found < len(expected) and abs(x - expected[found].re) <= 1e-12 and abs(
+                y - expected[found].im
+            ) <= 1e-12:
+                found += 1
+                continue
+            r, angle = math.hypot(x, y), abs(math.atan2(x, -y))
+            on_band_edge = min(abs(r - s_lo), abs(r - s_hi)) <= 1e-12 * r
+            assert on_band_edge or abs(angle - edge_angle) <= 1e-9
+        assert found == len(expected)
+        assert projected.dropped == (0 if projected.paths else 1)
+
+
+def test_render_svg_same_for_tuples_and_arrays():
+    paths = [[(0, 0), (1, 1)], [(0.125, -2.5), (1e-9, 3.0), (2.0, 2.0)], [(0.5, 0.5)]]
+    arrays = [np.array(path, dtype=float) for path in paths]
+    style = SvgStyle(stroke="red")
+    doc = render_svg([(style, paths), (SvgStyle(), paths[:1])])
+    assert render_svg([(style, arrays), (SvgStyle(), arrays[:1])]) == doc
+    d = "M 0.12500000 -2.50000000 L 0.00000000 3.00000000 L 2.00000000 2.00000000"
+    assert f'<path d="{d}"/>' in doc
+    assert '<path d="M 0.50000000 0.50000000"/>' in doc
+
+
+def _scalar_paths(profile, lines, cut):
+    """project_polylines as a per-vertex loop: wrap, split at the seam, clip
+    to the band, then place each line's pieces with one profile call."""
+    center = math.degrees(cut) % 360.0 - 180.0
+    lo, hi = profile.rho1, profile.rho2
+
+    def wrap(raw):
+        off = math.fmod(raw, 360.0)
+        return off - 360.0 if off > 180.0 else off + 360.0 if off < -180.0 else off
+
+    def split(chain):
+        pieces, current = [], [chain[0]]
+        for (o0, r0), (o1, r1) in zip(chain, chain[1:]):
+            if abs(o1 - o0) <= 180.0:
+                current.append((o1, r1))
+                continue
+            o1u = o1 - math.copysign(360.0, o1 - o0)
+            if o1u == o0:
+                pieces.append(current)
+                current = [(o1, r0), (o1, r1)]
+                continue
+            edge = math.copysign(180.0, o1u - o0)
+            rc = r0 + (edge - o0) / (o1u - o0) * (r1 - r0)
+            pieces.append(current + [(edge, rc)])
+            current = [(-edge, rc), (o1, r1)]
+        return [p for p in pieces + [current] if len(p) >= 2]
+
+    def at(a, b, rho_c):
+        t = (rho_c - a[1]) / (b[1] - a[1])
+        return (a[0] + t * (b[0] - a[0]), rho_c)
+
+    def clip(chain):
+        pieces, current = [], []
+        for i, v in enumerate(chain):
+            inside = lo <= v[1] <= hi
+            prev = chain[i - 1] if i else None
+            was_inside = prev is not None and lo <= prev[1] <= hi
+            if i == 0 or (inside and was_inside):
+                current += [v] if inside else []
+            elif inside:
+                current = [at(prev, v, lo if prev[1] < lo else hi), v]
+            elif was_inside:
+                pieces.append(current + [at(prev, v, lo if v[1] < lo else hi)])
+                current = []
+            elif min(prev[1], v[1]) < lo and max(prev[1], v[1]) > hi:
+                ends = [at(prev, v, lo), at(prev, v, hi)]
+                pieces.append(ends if prev[1] < v[1] else ends[::-1])
+        return pieces + ([current] if len(current) >= 2 else [])
+
+    paths, dropped = [], 0
+    for line in lines:
+        chain = [(wrap(lon - center), math.sin(math.radians(lat))) for lon, lat in line.points]
+        pieces = [c for piece in split(chain) for c in clip(piece)]
+        dropped += not pieces
+        if pieces:
+            off, rho = np.array([v for piece in pieces for v in piece]).T
+            slant = profile.s(np.arccos(rho))
+            psi = np.radians(off) * profile.sin_alpha
+            xy = np.column_stack((slant * np.sin(psi), -slant * np.cos(psi)))
+            paths += np.split(xy, np.cumsum([len(p) for p in pieces])[:-1])
+    return paths, dropped
+
+
+@pytest.mark.parametrize("kind", COMPARISON_ORDER)
+@pytest.mark.parametrize("cut_deg", [180.0, -179.0, 0.0, 179.99, 37.3])
+def test_project_polylines_equals_scalar_loop(kind, cut_deg):
+    profile = _PROFILES[kind]
+    cut = math.radians(cut_deg)
+    lines = (
+        graticule(10.0, 5.0, SphericalAnnulus(_PARAMS.rho1, _PARAMS.rho2))
+        + [GeoPolyline(name, vertices) for name, (vertices, _) in SPLIT_CLIP_CASES.items()]
+        + _random_lines(np.random.default_rng(3))
+    )
+    projected = project_polylines(profile, lines, cut)
+    paths, dropped = _scalar_paths(profile, lines, cut)
+    assert projected.dropped == dropped
+    assert len(projected.paths) == len(paths)
+    for got, want in zip(projected.paths, paths):
+        assert np.asarray(got).tobytes() == want.tobytes()

@@ -44,6 +44,14 @@ class TestOptimize:
         assert res.returncode == 2
         assert "rho1 < rho2" in res.stderr
 
+    def test_upward_cone_band_exits_2(self):
+        # rho1 + rho2 <= 0 puts the optimal a0 at or below 0
+        res = run_cli("optimize", "--rho1", "-0.5", "--rho2", "0.3")
+        assert res.returncode == 2
+        assert "a0 = -0.112579 <= 0" in res.stderr
+        assert "upward cone" in res.stderr and "rho1 + rho2 > 0" in res.stderr
+        assert "alpha must lie" not in res.stderr
+
     def test_latitude_flags(self):
         res = run_cli("optimize", "--lat1", "47.5", "--lat2", "62.5", "--degrees")
         assert res.returncode == 0
@@ -86,6 +94,15 @@ class TestTable:
 
     def test_narrow_band(self):
         res = run_cli("table", "--rho1", "0.5", "--rho2", "0.5000001")
+        assert res.returncode == 0, res.stderr
+        rows = res.stdout.strip().split("\n")[1:]
+        assert len(rows) == 6
+        for line in rows:
+            assert all(math.isfinite(float(v)) for v in line.split()[1:]), line
+
+    def test_very_narrow_band(self):
+        # the root of the equal-stretch equation lies inside a band 1e-10 wide
+        res = run_cli("table", "--rho1", "0.1", "--rho2", "0.1000000001")
         assert res.returncode == 0, res.stderr
         rows = res.stdout.strip().split("\n")[1:]
         assert len(rows) == 6
@@ -194,3 +211,14 @@ class TestReproduce:
             l for l in res.stdout.split("\n") if l.startswith("mod_sphere_annulus")
         )
         assert "FAIL" in line
+
+    def test_narrow_band_prints_every_row(self):
+        # the band's Lambert cone meets the sphere in two circles 1e-7 apart,
+        # at its two parallels up to terms of second order in the width; the
+        # targets belong to the canonical band, so most rows fail (exit 1)
+        res = run_cli("reproduce", "--rho1", "0.5", "--rho2", "0.5000001")
+        assert res.returncode == 1, res.stderr
+        rows = [l for l in res.stdout.split("\n") if l.endswith(("PASS", "FAIL"))]
+        assert len(rows) == 14
+        upper = next(l for l in rows if l.startswith("upper_intersection_height"))
+        assert abs(float(upper.split()[2]) - 0.5000001) <= 1e-12

@@ -12,6 +12,7 @@ from conicmaps import (
     cone_through_parallels,
     cone_touching_parallel,
     develop,
+    second_intersection_height,
     sphere_cone_intersections,
 )
 from conicmaps.errors import (
@@ -259,3 +260,27 @@ class TestConeAnnulusModulus:
         cone = cone_through_parallels(RHO1, RHO2)
         with pytest.raises(ValueError):
             ConicalAnnulus(cone, 0.5, 0.5)
+
+
+def test_second_intersection_height_matches_quadratic():
+    cone = cone_touching_parallel(math.asin(0.8215294207046442), RHO1)
+    lo, hi = sphere_cone_intersections(cone)
+    assert second_intersection_height(cone, lo) == pytest.approx(hi, abs=1e-15)
+    assert second_intersection_height(cone, hi) == pytest.approx(lo, abs=1e-15)
+    assert second_intersection_height(cone, RHO1) == pytest.approx(RHO_UPPER_LAMBERT, abs=1e-11)
+
+
+def test_second_intersection_height_of_near_tangent_cone():
+    # circles 1e-7 apart: the quadratic's discriminant (~4e-15) reads as
+    # tangency, the sum of its roots does not
+    rho1, rho2 = 0.5, 0.5000001
+    cone = cone_touching_parallel(math.asin(0.5 * (rho1 + rho2)), rho1)
+    with pytest.raises(TangentIntersection):
+        sphere_cone_intersections(cone)
+    assert second_intersection_height(cone, rho1) == pytest.approx(rho2, abs=1e-13)
+
+
+def test_second_intersection_height_rejects_upper_nappe():
+    cone = cone_touching_parallel(math.asin(1.0 - 1e-8), 0.0)
+    with pytest.raises(NoIntersection):
+        second_intersection_height(cone, 0.0)

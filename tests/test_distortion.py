@@ -258,3 +258,13 @@ class TestProfileDistortion:
         profile = make_profile("lambert", ProjectionParams(RHO1, RHO2))
         with pytest.raises(ValueError):
             profile_distortion(profile, 63)
+
+
+@pytest.mark.parametrize("center", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("width", [1e-6, 1e-8, 1e-10, 1e-12])
+def test_root_of_very_narrow_band_is_inside(center, width):
+    # to first order in the width the root sits at the middle of the band
+    rho1, rho2 = center, center + width
+    a = math.sin(optimal_alpha_by_root(rho1, rho2))
+    assert rho1 < a < rho2
+    assert abs(a - 0.5 * (rho1 + rho2)) <= width * width + 4e-16
