@@ -215,15 +215,21 @@ def _samples(args: argparse.Namespace, default: int) -> int:
     return args.samples or default
 
 
-def cmd_optimize(args: argparse.Namespace) -> int:
-    n = _samples(args, 2001)
-    alpha_root = optimal_alpha_by_root(args.rho1, args.rho2)
-    if alpha_root <= 0.0:
+def _downward_alpha(rho1: float, rho2: float) -> float:
+    """The optimal half-apex angle, or a ValueError if its cone opens upward."""
+    alpha = optimal_alpha_by_root(rho1, rho2)
+    if alpha <= 0.0:
         raise ValueError(
-            f"rho1 + rho2 = {args.rho1 + args.rho2:.6g} gives the optimal "
-            f"a0 = {math.sin(alpha_root):.6g} <= 0, an upward cone; the domain "
+            f"rho1 + rho2 = {rho1 + rho2:.6g} gives the optimal "
+            f"a0 = {math.sin(alpha):.6g} <= 0, an upward cone; the domain "
             "needs rho1 + rho2 > 0"
         )
+    return alpha
+
+
+def cmd_optimize(args: argparse.Namespace) -> int:
+    n = _samples(args, 2001)
+    alpha_root = _downward_alpha(args.rho1, args.rho2)
     alpha_scan = optimal_alpha_by_scan(args.rho1, args.rho2)
     delta_min = annulus_distortion(args.rho1, args.rho2, alpha_root, args.rho1)
     print(f"a0 = {math.sin(alpha_root):.10g}")
@@ -268,6 +274,8 @@ def cmd_project(args: argparse.Namespace) -> int:
         raise ValueError(f"--alpha must be finite, got {alpha}")
     if alpha is not None and args.degrees:
         alpha = math.radians(alpha)
+    if alpha is None and args.kind == projections.KIND_LAMBERT:
+        alpha = _downward_alpha(args.rho1, args.rho2)
     cut = math.radians(args.cut)
     profile = make_profile(args.kind, ProjectionParams(args.rho1, args.rho2, alpha))
     annulus = SphericalAnnulus(args.rho1, args.rho2)

@@ -258,11 +258,41 @@ def _refine_extremum(
     idx: int,
     maximize: bool,
 ) -> tuple[float, float]:
-    lo = grid[max(idx - 1, 0)]
-    hi = grid[min(idx + 1, len(grid) - 1)]
+    """Golden-section search between the neighbours of interior grid node idx."""
+    lo, hi = float(grid[idx - 1]), float(grid[idx + 1])
     if hi - lo <= 1e-12:
         return float(grid[idx]), float(values[idx])
-    return _golden_section(f, float(lo), float(hi), 1e-12, maximize)
+    return _golden_section(f, lo, hi, 1e-12, maximize)
+
+
+# How far the grid may exceed the exact candidates' extremes, in log-stretch,
+# before profile_distortion distrusts the profile's critical heights.
+_GRID_GUARD = 1e-13
+
+
+def _critical_candidates(
+    profile: "MeridianProfile", logs: tuple[np.ndarray, np.ndarray]
+) -> list[tuple[float, float]] | None:
+    """(log-stretch, rho) at the profile's in-band critical colatitudes.
+
+    Both directions are evaluated with one ``stretches`` call.  None when
+    the heights are unknown, or when together with the endpoints they fail
+    to bound a direction's grid extremes.
+    """
+    if profile.critical is None:
+        return None
+    crit = [e for e in profile.critical if profile.eps_hi < e < profile.eps_lo]
+    at_crit = [np.log(h) for h in profile.stretches(crit)] if crit else [np.empty(0)] * 2
+    for values, inner in zip(logs, at_crit):
+        cand = np.concatenate(([values[0], values[-1]], inner))
+        # Written so that a NaN candidate also fails the guard.
+        if not (
+            cand.max() >= values.max() - _GRID_GUARD
+            and cand.min() <= values.min() + _GRID_GUARD
+        ):
+            return None
+    rhos = [math.cos(e) for e in crit]
+    return [(float(v), rho) for inner in at_crit for v, rho in zip(inner, rhos)]
 
 
 def profile_distortion(profile: "MeridianProfile", n_grid: int = 4097) -> DistortionReport:
@@ -270,11 +300,19 @@ def profile_distortion(profile: "MeridianProfile", n_grid: int = 4097) -> Distor
 
     Both principal stretches are scanned on a dense endpoint-clustered grid
     in colatitude: along the meridian h_m = s'(eps), along the parallel
-    h_p = s(eps) sin(alpha) / sin(eps).  Each grid extremum (plus the two
-    endpoints) is then sharpened by golden-section search to a window of
-    1e-12 in colatitude, and the report takes the overall extremes over both
-    directions.  Deterministic for a fixed grid; value ties resolve toward
-    the smaller height.
+    h_p = s(eps) sin(alpha) / sin(eps).  The grid's first and last nodes are
+    the boundary colatitudes, so the endpoint values are taken from it as
+    they are.  Inside the band a stretch can only have an extremum at the
+    profile's critical colatitudes, and those in the band are evaluated
+    exactly.  The report takes the overall extremes of the endpoint and
+    critical values over both directions.
+
+    The grid guards the critical heights: if they are unknown, or if with
+    the endpoints they fail to bound a direction's grid maximum and minimum
+    to within 1e-13, each direction's interior grid extremum is instead
+    refined by golden-section search to a window of 1e-12 in colatitude.
+    Deterministic for a fixed grid; value ties resolve toward the smaller
+    height.
     """
     if n_grid < 64:
         raise ValueError("n_grid must be at least 64")
@@ -285,27 +323,35 @@ def profile_distortion(profile: "MeridianProfile", n_grid: int = 4097) -> Distor
     eps = mid - half * np.cos(np.pi * j / (n_grid - 1))
     eps[0], eps[-1] = eps_hi, eps_lo
 
-    sa = profile.cone.sin_alpha
     h_m, h_p = profile.stretches(eps)
     if np.any(h_p <= 0.0):
         raise NonPositiveStretch("profile slant distance vanishes on the annulus")
     if np.any(h_m <= 0.0):
         raise NonPositiveStretch("profile slant derivative vanishes on the annulus")
-
-    directions = (
-        (np.log(h_m), lambda e: math.log(float(profile.s_prime(e)))),
-        (np.log(h_p), lambda e: math.log(float(profile.s(e)) * sa / math.sin(e))),
-    )
+    logs = (np.log(h_m), np.log(h_p))
 
     # (value, rho) candidates of each extreme.
-    sups: list[tuple[float, float]] = []
-    infs: list[tuple[float, float]] = []
-    for values, scalar_f in directions:
-        for maximize, found in ((True, sups), (False, infs)):
-            idx_best = int(np.argmax(values) if maximize else np.argmin(values))
-            for idx in {idx_best, 0, n_grid - 1}:
-                e_star, v_star = _refine_extremum(scalar_f, eps, values, idx, maximize)
-                found.append((v_star, math.cos(e_star)))
+    ends = [
+        (float(values[i]), rho)
+        for values in logs
+        for i, rho in ((0, math.cos(eps_hi)), (-1, math.cos(eps_lo)))
+    ]
+    critical = _critical_candidates(profile, logs)
+    if critical is not None:
+        sups = infs = ends + critical
+    else:
+        sa = profile.cone.sin_alpha
+        scalar_fs = (
+            lambda e: math.log(float(profile.s_prime(e))),
+            lambda e: math.log(float(profile.s(e)) * sa / math.sin(e)),
+        )
+        sups, infs = list(ends), list(ends)
+        for values, scalar_f in zip(logs, scalar_fs):
+            for maximize, found in ((True, sups), (False, infs)):
+                idx = int(np.argmax(values) if maximize else np.argmin(values))
+                if 0 < idx < n_grid - 1:
+                    e_star, v_star = _refine_extremum(scalar_f, eps, values, idx, maximize)
+                    found.append((v_star, math.cos(e_star)))
 
     # Value ties resolve toward the smaller height.
     sup_log, arg_sup = min(sups, key=lambda c: (-c[0], c[1]))

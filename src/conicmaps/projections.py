@@ -90,7 +90,10 @@ class MeridianProfile:
     ``eps_hi < eps_lo``: the upper parallel (height rho2) has the smaller
     colatitude.  ``s`` and ``s_prime`` accept scalars or numpy arrays.
     ``aux`` carries per-kind derived constants (scale factor, dilatation and
-    both moduli, optimal angle) for reporting.
+    both moduli, optimal angle) for reporting.  ``critical`` holds every
+    colatitude, in or out of the band, where either principal stretch can
+    have an interior extremum; ``()`` means neither has one, ``None`` that
+    they are unknown.
     """
 
     kind: str
@@ -100,6 +103,7 @@ class MeridianProfile:
     s: Callable[[np.ndarray], np.ndarray]
     s_prime: Callable[[np.ndarray], np.ndarray]
     aux: dict = field(default_factory=dict)
+    critical: tuple[float, ...] | None = None
 
     @property
     def rho1(self) -> float:
@@ -123,7 +127,11 @@ class MeridianProfile:
 
 
 def _power_profile(kind, cone, eps1, eps2, s1, m, aux) -> MeridianProfile:
-    """Radial power map s = s1 * (tan(eps/2) / tan(eps1/2))**m."""
+    """Radial power map s = s1 * (tan(eps/2) / tan(eps1/2))**m.
+
+    Both stretches are s * (m or sin alpha) / sin(eps), whose logarithmic
+    derivative (m - cos(eps)) / sin(eps) vanishes only at cos(eps) = m.
+    """
     t1 = math.tan(0.5 * eps1)
 
     def s(e):
@@ -133,11 +141,50 @@ def _power_profile(kind, cone, eps1, eps2, s1, m, aux) -> MeridianProfile:
         e = np.asarray(e, dtype=float)
         return s(e) * m / np.sin(e)
 
-    return MeridianProfile(kind, cone, eps1, eps2, s, s_prime, aux)
+    critical = (math.acos(m),) if abs(m) < 1.0 else ()
+    return MeridianProfile(kind, cone, eps1, eps2, s, s_prime, aux, critical)
+
+
+def _affine_parallel_critical(s_a, eps_a, k, eps_hi, eps_lo) -> tuple[float, ...]:
+    """Colatitudes in (eps_hi, eps_lo) where s / sin(eps) is stationary.
+
+    With s = s_a + k * (eps - eps_a) that is the root of
+    g(eps) = k sin(eps) - s(eps) cos(eps), and g' = s sin(eps) > 0 wherever
+    s > 0, so there is at most one, and only if g(eps_hi) < 0 < g(eps_lo).
+    Newton steps that leave the shrinking bracket fall back to bisection.
+    """
+
+    def g(e):
+        return k * math.sin(e) - (s_a + k * (e - eps_a)) * math.cos(e)
+
+    lo, hi = eps_hi, eps_lo
+    if not g(lo) < 0.0 < g(hi):
+        return ()
+    e = 0.5 * (lo + hi)
+    for _ in range(100):
+        ge = g(e)
+        if ge == 0.0:
+            break
+        if ge < 0.0:
+            lo = e
+        else:
+            hi = e
+        slope = (s_a + k * (e - eps_a)) * math.sin(e)
+        nxt = e - ge / slope if slope > 0.0 else lo
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if nxt == e:
+            break
+        e = nxt
+    return (e,)
 
 
 def _affine_profile(kind, cone, eps1, eps2, s_a, eps_a, k, aux) -> MeridianProfile:
-    """Profile affine in colatitude: s = s_a + k * (eps - eps_a)."""
+    """Profile affine in colatitude: s = s_a + k * (eps - eps_a).
+
+    The meridian stretch is the constant k, so only the parallel stretch
+    can have an interior extremum.
+    """
 
     def s(e):
         e = np.asarray(e, dtype=float)
@@ -146,7 +193,8 @@ def _affine_profile(kind, cone, eps1, eps2, s_a, eps_a, k, aux) -> MeridianProfi
     def s_prime(e):
         return np.full_like(np.asarray(e, dtype=float), k)
 
-    return MeridianProfile(kind, cone, eps1, eps2, s, s_prime, aux)
+    critical = _affine_parallel_critical(s_a, eps_a, k, eps2, eps1)
+    return MeridianProfile(kind, cone, eps1, eps2, s, s_prime, aux, critical)
 
 
 def make_profile(kind: str, params: ProjectionParams) -> MeridianProfile:
@@ -175,8 +223,14 @@ def make_profile(kind: str, params: ProjectionParams) -> MeridianProfile:
     cone = cone_through_parallels(rho1, rho2)
     alpha, sa, ca = cone.alpha, cone.sin_alpha, cone.cos_alpha
     apex = cone.apex_z
-    s1 = math.sqrt(1.0 - rho1 * rho1) / sa
-    s2 = math.sqrt(1.0 - rho2 * rho2) / sa
+    r1 = math.sqrt(1.0 - rho1 * rho1)
+    r2 = math.sqrt(1.0 - rho2 * rho2)
+    s1 = r1 / sa
+    s2 = r2 / sa
+    # Both stretches of the central map, and the meridian stretch
+    # sin(eps + alpha) of the orthogonal one, are extremal where
+    # eps + alpha = pi/2.
+    foot = 0.5 * math.pi - alpha
 
     if kind == KIND_CENTRAL:
 
@@ -188,7 +242,7 @@ def make_profile(kind: str, params: ProjectionParams) -> MeridianProfile:
             e = np.asarray(e, dtype=float)
             return apex * sa / np.sin(e + alpha) ** 2
 
-        return MeridianProfile(kind, cone, eps1, eps2, s, s_prime)
+        return MeridianProfile(kind, cone, eps1, eps2, s, s_prime, critical=(foot,))
 
     if kind == KIND_ORTHOGONAL:
 
@@ -200,10 +254,18 @@ def make_profile(kind: str, params: ProjectionParams) -> MeridianProfile:
             e = np.asarray(e, dtype=float)
             return np.sin(e + alpha)
 
-        return MeridianProfile(kind, cone, eps1, eps2, s, s_prime)
+        # The parallel stretch sa^2 + sa ca (apex - cos eps) / sin eps has
+        # derivative sa ca (1 - apex cos eps) / sin^2 eps.
+        critical = (foot, math.acos(1.0 / apex)) if apex > 1.0 else (foot,)
+        return MeridianProfile(kind, cone, eps1, eps2, s, s_prime, critical=critical)
 
     if kind == KIND_DELISLE:
-        scale = (s1 - s2) / (eps1 - eps2)
+        # s1 - s2 is the meridian chord between the parallels and eps1 - eps2
+        # the arc over it; both are formed without subtracting near-equal
+        # numbers, since r1 - r2 = w (rho1 + rho2) / (r1 + r2).
+        w = rho2 - rho1
+        chord = math.hypot(w * (rho1 + rho2) / (r1 + r2), w)
+        scale = chord / (2.0 * math.asin(0.5 * chord))
         return _affine_profile(kind, cone, eps1, eps2, s2, eps2, scale, {"scale": scale})
 
     if kind == KIND_DELISLE_EQUIDISTANT:
