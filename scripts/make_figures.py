@@ -2,56 +2,42 @@
 """Regenerate the numeric artifacts: distortion scan, stretch-curve
 comparison, and example projected maps.
 
-Writes CSV/SVG files into --outdir (default: out/) and prints the
-six-projection distortion table to stdout.
+Every artifact is written by a `conicmaps` subcommand, run in this process:
+CSV/SVG files go into --outdir (default: out/), and the optimal angle and
+the six-projection distortion table are printed to stdout.  The exit code
+is that of the first subcommand that fails, else 0.
 """
 
 import argparse
-import math
+import sys
 from pathlib import Path
 
-from conicmaps import (
-    SphericalAnnulus,
-    SvgStyle,
-    compare_all,
-    graticule,
-    make_profile,
-    optimal_alpha_by_root,
-    project_polylines,
-    write_csv,
-    write_svg,
-)
-from conicmaps.cli import CANONICAL_RHO1, CANONICAL_RHO2, scan_table, sigma_table
-from conicmaps.projections import ProjectionParams
+from conicmaps import cli
 
 
-def write_map(kind, rho1, rho2, path):
-    profile = make_profile(kind, ProjectionParams(rho1, rho2))
-    grat = graticule(10.0, 5.0, SphericalAnnulus(rho1, rho2))
-    paths = project_polylines(profile, grat, math.pi).paths
-    write_svg(paths, SvgStyle(stroke="#444444", stroke_width=0.0015), path)
-
-
-def main():
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", default="out", type=Path)
-    ap.add_argument("--rho1", default=CANONICAL_RHO1, type=float)
-    ap.add_argument("--rho2", default=CANONICAL_RHO2, type=float)
-    args = ap.parse_args()
+    ap.add_argument("--rho1", default=cli.CANONICAL_RHO1, type=float)
+    ap.add_argument("--rho2", default=cli.CANONICAL_RHO2, type=float)
+    args = ap.parse_args(argv)
     args.outdir.mkdir(parents=True, exist_ok=True)
 
-    write_csv(scan_table(args.rho1, args.rho2), args.outdir / "optimal_scan.csv")
-    write_csv(sigma_table(args.rho1, args.rho2), args.outdir / "sigma_comparison.csv")
+    band = [f"--rho1={args.rho1!r}", f"--rho2={args.rho2!r}"]
+    runs = [
+        ["optimize", "--scan", "--csv", str(args.outdir / "optimal_scan.csv")],
+        ["curves", "--csv", str(args.outdir / "sigma_comparison.csv")],
+        ["table"],
+    ]
     for kind in ("lambert", "central"):
-        write_map(kind, args.rho1, args.rho2, args.outdir / f"{kind}_map.svg")
-
-    a0 = math.sin(optimal_alpha_by_root(args.rho1, args.rho2))
-    print(f"optimal sin(alpha) = {a0:.10g}")
-    print(f"{'kind':<22}{'distortion':>14}")
-    for kind, report in compare_all(ProjectionParams(args.rho1, args.rho2)):
-        print(f"{kind:<22}{report.delta:>14.10f}")
+        runs.append(["project", "--kind", kind, "--out", str(args.outdir / f"{kind}_map.svg")])
+    for run in runs:
+        code = cli.main(run + band)
+        if code:
+            return code
     print(f"wrote artifacts to {args.outdir}/")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -2,13 +2,8 @@
 
 Every subcommand takes the band: --rho1/--rho2 (heights) or --lat1/--lat2
 (latitudes, radians unless --degrees).  Each one parses only the options it
-reads:
-
-* ``optimize``: --samples, --csv, --scan;
-* ``table``: --samples (accepted and ignored), --csv;
-* ``curves``: --samples, --csv;
-* ``project``: --kind, --cut, --alpha, --out and an optional GeoJSON file;
-* ``reproduce``: the band only.
+reads; ``SUBCOMMANDS`` holds each one's help, options and handler, and a
+call builds the options of the invoked subcommand only.
 
 Exit codes: 0 success, 1 a reproduction target missed, 2 invalid parameters
 (including an option the subcommand does not take), 3 unreadable/unparseable
@@ -106,15 +101,7 @@ def _add_csv_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--csv", help="CSV output file")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="conicmaps",
-        description="Conical projections of a spherical band and their distortion.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("optimize", help="optimal half-apex angle and distortion")
-    _add_band(p)
+def _add_optimize_options(p: argparse.ArgumentParser) -> None:
     _add_csv_options(p)
     p.add_argument(
         "--scan",
@@ -122,16 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="also emit the (sin alpha, distortion) curve as CSV",
     )
 
-    p = sub.add_parser("table", help="distortion table of the six projections")
-    _add_band(p)
-    _add_csv_options(p)
 
-    p = sub.add_parser("curves", help="bi-Lipschitz curves of the six projections")
-    _add_band(p)
-    _add_csv_options(p)
-
-    p = sub.add_parser("project", help="render a projected map as SVG")
-    _add_band(p)
+def _add_project_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, help="half-apex angle override (Lambert only)")
     p.add_argument(
         "--kind",
@@ -153,8 +132,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="optional GeoJSON file with LineString/MultiLineString overlays",
     )
 
-    p = sub.add_parser("reproduce", help="check all published reference values")
-    _add_band(p)
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every subcommand's name and help, but the options of ``command`` only."""
+    parser = argparse.ArgumentParser(
+        prog="conicmaps",
+        description="Conical projections of a spherical band and their distortion.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_options, _) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == command:
+            _add_band(p)
+            add_options(p)
     return parser
 
 
@@ -244,19 +234,13 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     reports = compare_all(ProjectionParams(args.rho1, args.rho2))
     print(f"{'kind':<22}{'distortion':>14}{'sup_stretch':>14}{'inf_stretch':>14}")
-    rows = []
-    for kind, rep in reports:
-        print(
-            f"{kind:<22}{rep.delta:>14.10f}{math.exp(rep.sup_log):>14.10f}"
-            f"{math.exp(rep.inf_log):>14.10f}"
-        )
-        rows.append((rep.delta, math.exp(rep.sup_log), math.exp(rep.inf_log)))
+    values = np.array([(i, rep.delta, math.exp(rep.sup_log), math.exp(rep.inf_log))
+                       for i, (_, rep) in enumerate(reports)])
+    for (kind, _), (_, delta, sup, inf) in zip(reports, values.tolist()):
+        print(f"{kind:<22}{delta:>14.10f}{sup:>14.10f}{inf:>14.10f}")
     if args.csv:
-        table = CurveTable(
-            ("kind_index", "distortion", "sup_stretch", "inf_stretch"),
-            [(float(i),) + row for i, row in enumerate(rows)],
-        )
-        write_csv(table, args.csv)
+        columns = ("kind_index", "distortion", "sup_stretch", "inf_stretch")
+        write_csv(CurveTable(columns, values), args.csv)
     return 0
 
 
@@ -356,20 +340,27 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {
-    "optimize": cmd_optimize,
-    "table": cmd_table,
-    "curves": cmd_curves,
-    "project": cmd_project,
-    "reproduce": cmd_reproduce,
+# name -> (help, adds the subcommand's own options, handler)
+SUBCOMMANDS = {
+    "optimize": ("optimal half-apex angle and distortion", _add_optimize_options,
+                 cmd_optimize),
+    "table": ("distortion table of the six projections", _add_csv_options, cmd_table),
+    "curves": ("bi-Lipschitz curves of the six projections", _add_csv_options,
+               cmd_curves),
+    "project": ("render a projected map as SVG", _add_project_options, cmd_project),
+    "reproduce": ("check all published reference values", lambda p: None,
+                  cmd_reproduce),
 }
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The subcommand is argv[0] unless a top-level -h or a "--" comes first.
+    command = next((a for a in argv if a in SUBCOMMANDS), None)
+    args = build_parser(command).parse_args(argv)
     try:
         _resolve(args)
-        return _COMMANDS[args.command](args)
+        return SUBCOMMANDS[args.command][2](args)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -153,16 +153,15 @@ def cone_touching_parallel(alpha: float, rho0: float) -> Cone:
 def cone_through_parallels(rho1: float, rho2: float) -> Cone:
     """Cone through both parallels at heights rho1 < rho2.
 
-    Its half-apex angle satisfies
-    tan(alpha) = (sqrt(1-rho1^2) - sqrt(1-rho2^2)) / (rho2 - rho1),
-    which is only a downward cone with apex above the sphere when
-    rho1 + rho2 > 0; other height pairs are rejected.
+    With r_i = sqrt(1 - rho_i^2), tan(alpha) = (r1 - r2) / (rho2 - rho1) =
+    (rho1 + rho2) / (r1 + r2), the second form free of cancellation.  It is a
+    downward cone with apex above the sphere only when rho1 + rho2 > 0;
+    other height pairs are rejected.
     """
     if not -1.0 < rho1 < rho2 < 1.0:
         raise ValueError(f"need -1 < rho1 < rho2 < 1, got ({rho1}, {rho2})")
     r1 = math.sqrt(1.0 - rho1 * rho1)
-    r2 = math.sqrt(1.0 - rho2 * rho2)
-    tana = (r1 - r2) / (rho2 - rho1)
+    tana = (rho1 + rho2) / (r1 + math.sqrt(1.0 - rho2 * rho2))
     if tana <= 0.0:
         raise UnsupportedGeometry(
             "parallels of equal or inverted radii (rho1 + rho2 <= 0) give a "

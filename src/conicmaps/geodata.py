@@ -61,21 +61,22 @@ class ParsedLines:
     ignored: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurveTable:
     """Rectangular numeric table with named columns.
 
-    ``rows`` may be any sequence of rows or a 2-D array; it is stored as a
-    tuple of tuples of floats.
+    ``values`` may be any sequence of rows or a 2-D array; it is stored as a
+    read-only float64 array of shape (rows, columns).  Tables compare by
+    identity; compare ``rows`` for their content.
     """
 
     columns: tuple
-    rows: tuple
+    values: np.ndarray
 
     def __post_init__(self):
         cols = tuple(str(c) for c in self.columns)
         try:
-            values = np.array(self.rows, dtype=float)
+            values = np.array(self.values, dtype=float)
         except ValueError as exc:
             raise ValueError("ragged table row") from exc
         if len(values) == 0:
@@ -84,8 +85,14 @@ class CurveTable:
             raise ValueError("ragged table row")
         if not np.isfinite(values).all():
             raise ValueError("non-finite table entry")
+        values.flags.writeable = False
         object.__setattr__(self, "columns", cols)
-        object.__setattr__(self, "rows", tuple(map(tuple, values.tolist())))
+        object.__setattr__(self, "values", values)
+
+    @property
+    def rows(self) -> tuple:
+        """The values as a tuple of row tuples."""
+        return tuple(map(tuple, self.values.tolist()))
 
 
 @dataclass(frozen=True)
@@ -335,7 +342,7 @@ def write_csv(table: CurveTable, dest) -> None:
     write/read round trip bit-exact for every IEEE double.
     """
     row_format = ",".join(["%.17g"] * len(table.columns)) + "\n"
-    body = "".join([row_format % row for row in table.rows])
+    body = (row_format * len(table.values)) % tuple(table.values.ravel().tolist())
     _write_text(",".join(table.columns) + "\n" + body, dest, "CSV")
 
 

@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cone import Cone, ConicalAnnulus, cone_annulus_modulus, cone_through_parallels
+from .cone import Cone, cone_through_parallels
 from .conformal import lambert_chart
 from .distortion import (
     DistortionReport,
@@ -273,8 +273,11 @@ def make_profile(kind: str, params: ProjectionParams) -> MeridianProfile:
         return _affine_profile(kind, cone, eps1, eps2, s1, eps1, 1.0, {})
 
     if kind == KIND_TEICHMULLER:
+        # log(s1/s2) = log1p(r1^2/r2^2 - 1) / 2, and nothing cancels in that
+        # argument, (rho2 - rho1)(rho1 + rho2) / ((1 - rho2)(1 + rho2)).
+        excess = (rho2 - rho1) * (rho1 + rho2) / ((1.0 - rho2) * (1.0 + rho2))
+        mod_cone = 0.5 * math.log1p(excess) / (TAU * sa)
         mod_sphere = annulus_modulus(SphericalAnnulus(rho1, rho2))
-        mod_cone = cone_annulus_modulus(ConicalAnnulus(cone, s2, s1))
         dil = mod_cone / mod_sphere
         aux = {"dilatation": dil, "mod_sphere": mod_sphere, "mod_cone": mod_cone}
         return _power_profile(kind, cone, eps1, eps2, s1, dil * sa, aux)

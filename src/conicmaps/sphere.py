@@ -153,10 +153,10 @@ def annulus_modulus(a: SphericalAnnulus) -> float:
     """Conformal modulus of the annulus between the two parallels.
 
     Computed through the stereographic image, a round annulus with radii
-    sqrt((1+rho)/(1-rho)); the value is
-    log(((1-rho1)/(1+rho1)) * ((1+rho2)/(1-rho2))) / (4*pi)
-    and is additive over concatenated bands.
+    sqrt((1+rho)/(1-rho)); the value, additive over concatenated bands, is
+    (log1p(w/(1+rho1)) + log1p(w/(1-rho2))) / (4*pi) with w = rho2 - rho1,
+    a form that does not cancel on narrow bands.
     """
-    t = (math.log1p(-a.rho1) - math.log1p(a.rho1)
-         + math.log1p(a.rho2) - math.log1p(-a.rho2))
+    w = a.rho2 - a.rho1
+    t = math.log1p(w / (1.0 + a.rho1)) + math.log1p(w / (1.0 - a.rho2))
     return t / (4.0 * math.pi)

@@ -1,9 +1,11 @@
 """The array-valued evaluation paths agree with the scalar ones they replace,
 and the CLI maps bad input and unwritable output to their exit codes."""
 
+import argparse
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from conicmaps import (
     stretch_at,
     write_csv,
 )
-from conicmaps.cli import main, sigma_table
+from conicmaps.cli import SUBCOMMANDS, build_parser, main, sigma_table
 from conicmaps.projections import COMPARISON_ORDER, ProjectionParams
 from conftest import RHO1, RHO2
 
@@ -145,6 +147,40 @@ def test_curve_table_rejects_wrong_width_array():
     assert CurveTable(("a",), []).rows == ()
 
 
+COMMANDS = ("optimize", "table", "curves", "project", "reproduce")
+# Each subcommand-specific option with a value it takes, and the subcommands
+# that read it; every subcommand also takes the band options.
+OPTION_OWNERS = {
+    ("--samples", "11"): ("optimize", "table", "curves"),
+    ("--csv", "x.csv"): ("optimize", "table", "curves"),
+    ("--scan",): ("optimize",),
+    ("--alpha", "0.5"): ("project",),
+    ("--kind", "central"): ("project",),
+    ("--cut", "10"): ("project",),
+    ("--out", "x.svg"): ("project",),
+}
+OWN_OPTIONS = [
+    [command, *option]
+    for option, owners in OPTION_OWNERS.items()
+    for command in owners
+]
+# The option x subcommand pairs not already listed in
+# test_option_of_another_subcommand_exits_2.
+FOREIGN_OPTIONS = [
+    [command, *option]
+    for option, owners in OPTION_OWNERS.items()
+    for command in COMMANDS
+    if command not in owners
+    and [command, *option]
+    not in (
+        ["optimize", "--alpha", "0.5"],
+        ["table", "--kind", "central"],
+        ["curves", "--cut", "10"],
+        ["reproduce", "--out", "x.svg"],
+    )
+]
+
+
 class TestCliErrors:
     def test_unwritable_svg_exits_4(self, tmp_path, capsys):
         assert main(["project", "--out", str(tmp_path / "missing" / "x.svg")]) == 4
@@ -170,13 +206,38 @@ class TestCliErrors:
             ["table", "--kind", "central"],
             ["curves", "--cut", "10"],
             ["reproduce", "--out", "x.svg"],
-        ],
+        ]
+        + FOREIGN_OPTIONS,
     )
     def test_option_of_another_subcommand_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", OWN_OPTIONS)
+    def test_option_of_its_own_subcommand_is_accepted(self, argv):
+        args = build_parser(argv[0]).parse_args(argv)
+        assert args.command == argv[0]
+
+    def test_top_level_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "{" + ",".join(COMMANDS) + "}" in out
+        for name in COMMANDS:
+            help_text = SUBCOMMANDS[name][0]
+            assert re.search(rf"^ +{name} +{re.escape(help_text)}$", out, re.MULTILINE)
+
+    @pytest.mark.parametrize("command", COMMANDS + (None,))
+    def test_parser_builds_only_the_invoked_subcommands_options(self, command):
+        parser = build_parser(command)
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert tuple(sub.choices) == COMMANDS
+        for name, p in sub.choices.items():
+            built = {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+            assert bool(built) == (name == command), name
 
     @pytest.mark.parametrize(
         "vertex", [[None, None], [True, 50], [10, False], ["a", "b"], "12", {"0": 1}, [10]]

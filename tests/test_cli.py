@@ -3,6 +3,7 @@ import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -222,3 +223,27 @@ class TestReproduce:
         assert len(rows) == 14
         upper = next(l for l in rows if l.startswith("upper_intersection_height"))
         assert abs(float(upper.split()[2]) - 0.5000001) <= 1e-12
+
+
+class TestMakeFigures:
+    def test_writes_the_cli_artifacts(self, tmp_path):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "make_figures.py"
+        outdir = tmp_path / "figs"
+        res = subprocess.run(
+            [sys.executable, str(script), "--outdir", str(outdir)],
+            capture_output=True,
+            text=True,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == (
+            run_cli("optimize").stdout + run_cli("table").stdout
+            + f"wrote artifacts to {outdir}/\n"
+        )
+        names = ["central_map.svg", "lambert_map.svg", "optimal_scan.csv", "sigma_comparison.csv"]
+        assert sorted(p.name for p in outdir.iterdir()) == names
+        for kind in ("lambert", "central"):
+            svg = run_cli("project", "--kind", kind).stdout
+            assert (outdir / f"{kind}_map.svg").read_text() == svg
+        assert (outdir / "sigma_comparison.csv").read_text() == run_cli("curves").stdout
+        scan = run_cli("optimize", "--scan").stdout
+        assert scan.endswith((outdir / "optimal_scan.csv").read_text())

@@ -116,6 +116,53 @@ def test_table_on_a_very_narrow_band_prints_no_delisle_noise(capsys):
     assert row.split()[1:] == ["0.0000000000", "1.0000000000", "1.0000000000"]
 
 
+def test_table_on_a_very_narrow_band_prints_no_teichmuller_noise(capsys):
+    assert main(["table", "--rho1", "0.1", "--rho2", "0.1000000001"]) == 0
+    row = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("teichmuller "))
+    assert row.split()[1:] == ["0.0000000000", "1.0000000000", "1.0000000000"]
+
+
+def narrow_seeded_bands(seed: int, count: int) -> list[tuple[float, float]]:
+    """Bands of width 1e-12 to 1 (log-uniform) with rho1 + rho2 > 0.05."""
+    rng = random.Random(seed)
+    bands = []
+    while len(bands) < count:
+        width = 10.0 ** rng.uniform(-12.0, 0.0)
+        rho1 = rng.uniform(0.5 * (0.05 - width), 1.0 - width)
+        rho2 = rho1 + width
+        if -1.0 < rho1 < rho2 < 1.0 and rho1 + rho2 > 0.05:
+            bands.append((rho1, rho2))
+    return bands
+
+
+@pytest.mark.parametrize(
+    "bands",
+    [
+        narrow_seeded_bands(7, 300),
+        [(0.999999, 0.9999990001), (0.99999999, 0.999999991), (0.5, 0.9999999), (RHO1, RHO2)],
+    ],
+    ids=["seeded", "near-pole"],
+)
+def test_teichmuller_moduli_against_mpmath(bands):
+    """The dilatation and both moduli, from their defining formulas at 40 digits."""
+    worst = 0.0
+    with mpmath.workdps(40):
+        for rho1, rho2 in bands:
+            p1, p2 = mpmath.mpf(rho1), mpmath.mpf(rho2)
+            r1, r2 = mpmath.sqrt(1 - p1**2), mpmath.sqrt(1 - p2**2)
+            sin_alpha = mpmath.sin(mpmath.atan((r1 - r2) / (p2 - p1)))
+            mod_sphere = mpmath.log((1 - p1) / (1 + p1) * (1 + p2) / (1 - p2)) / (4 * mpmath.pi)
+            mod_cone = mpmath.log(r1 / r2) / (2 * mpmath.pi * sin_alpha)
+            aux = make_profile("teichmuller", ProjectionParams(rho1, rho2)).aux
+            for key, exact in (
+                ("dilatation", mod_cone / mod_sphere),
+                ("mod_sphere", mod_sphere),
+                ("mod_cone", mod_cone),
+            ):
+                worst = max(worst, float(abs(aux[key] - exact) / exact))
+    assert worst <= 4e-15
+
+
 def test_project_on_an_upward_cone_explains_the_domain(capsys):
     assert main(["project", "--rho1", "-0.5", "--rho2", "0.3"]) == 2
     err = capsys.readouterr().err

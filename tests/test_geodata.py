@@ -211,6 +211,47 @@ class TestCsv:
             CurveTable(("a",), [(float("nan"),)])
 
 
+class TestCurveTable:
+    @pytest.mark.parametrize(
+        "rows", [[(1.0, 2.0), (3.5, -0.25)], [(0.0, 5e-324)], np.arange(6.0).reshape(3, 2)]
+    )
+    def test_values_are_a_read_only_copy(self, rows):
+        table = CurveTable(("a", "b"), rows)
+        assert table.values.dtype == np.float64 and table.values.shape == (len(rows), 2)
+        assert not table.values.flags.writeable
+        with pytest.raises(ValueError):
+            table.values[0, 0] = 7.0
+        if isinstance(rows, np.ndarray):
+            rows[0, 0] = 7.0  # the caller's array stays writable and unshared
+            assert table.values[0, 0] == 0.0
+
+    @pytest.mark.parametrize(
+        "rows", [[(1.0, 2.0), (3.5, -0.25)], [(-0.0, 1.7976931348623157e308)], []]
+    )
+    def test_rows_equal_the_input_tuples(self, rows):
+        table = CurveTable(("a", "b"), rows)
+        assert table.rows == tuple(tuple(r) for r in rows)
+        assert all(type(v) is float for r in table.rows for v in r)
+
+    def test_empty_table(self):
+        table = CurveTable(("a", "b"), [])
+        assert table.values.shape == (0, 2) and table.rows == ()
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([(1.0,)], "ragged table row"),
+            ([(1.0, 2.0), (3.0,)], "ragged table row"),
+            (np.zeros((2, 3)), "ragged table row"),
+            ([(0.0, float("nan"))], "non-finite table entry"),
+            ([(0.0, -math.inf)], "non-finite table entry"),
+        ],
+    )
+    def test_messages(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            CurveTable(("a", "b"), rows)
+
+
 class TestSvg:
     def test_empty_document_valid(self, tmp_path):
         path = tmp_path / "empty.svg"
