@@ -173,7 +173,12 @@ def _resolve(args: argparse.Namespace) -> None:
 
 
 def scan_table(rho1: float, rho2: float, n: int = 2001) -> CurveTable:
-    """Distortion of the conformal map at n evenly spaced a = sin(alpha) in (0, 1)."""
+    """Distortion of the conformal map at n evenly spaced a = sin(alpha) in (0, 1).
+
+    The angles stay a ``math.asin`` list: ``np.arcsin`` rounds differently
+    on about one input in twelve, which would change the CSV bytes, while
+    :func:`annulus_distortions` takes every sine in numpy bit for bit.
+    """
     a = (np.arange(n) + 1) / (n + 1)
     alphas = [math.asin(v) for v in a.tolist()]
     delta = annulus_distortions(rho1, rho2, alphas, rho1)

@@ -95,6 +95,22 @@ def squared_stretch(x: float, y: float, z: float) -> float:
     return math.exp(log_squared_stretch(x, y, z))
 
 
+def _log_terms(rho1: float, rho2: float, rho0: float) -> tuple[float, ...]:
+    """The log1p terms of log F(rho_i, a, rho0) that do not depend on a.
+
+    Returns lp0, lm0 = log1p(rho0), log1p(-rho0) and, for each edge,
+    p_i = lp0 - log1p(rho_i) and m_i = lm0 - log1p(-rho_i), so that
+    log F(rho_i, a, rho0) = (1 + a) p_i + (1 - a) m_i.
+    """
+    _check_open_unit("x", rho1)
+    _check_open_unit("x", rho2)
+    _check_open_unit("z", rho0)
+    lp0, lm0 = math.log1p(rho0), math.log1p(-rho0)
+    p1, m1 = lp0 - math.log1p(rho1), lm0 - math.log1p(-rho1)
+    p2, m2 = lp0 - math.log1p(rho2), lm0 - math.log1p(-rho2)
+    return lp0, lm0, p1, m1, p2, m2
+
+
 def _distortion_in_a(rho1: float, rho2: float, rho0: float) -> Callable[[float], float]:
     """Distortion as a function of a = sin(alpha), valid on all of (-1, 1).
 
@@ -103,14 +119,9 @@ def _distortion_in_a(rho1: float, rho2: float, rho0: float) -> Callable[[float],
     is interior, else at the nearer endpoint; the distortion is half the
     spread of log F because L = sqrt(F).  The returned function evaluates
     log F exactly as :func:`log_squared_stretch` does, with the log1p terms
-    that do not depend on a taken once here.
+    that do not depend on a taken once, by :func:`_log_terms`.
     """
-    _check_open_unit("x", rho1)
-    _check_open_unit("x", rho2)
-    _check_open_unit("z", rho0)
-    lp0, lm0 = math.log1p(rho0), math.log1p(-rho0)
-    p1, m1 = lp0 - math.log1p(rho1), lm0 - math.log1p(-rho1)
-    p2, m2 = lp0 - math.log1p(rho2), lm0 - math.log1p(-rho2)
+    lp0, lm0, p1, m1, p2, m2 = _log_terms(rho1, rho2, rho0)
 
     def delta(a: float) -> float:
         if not -1.0 < a < 1.0:
@@ -132,16 +143,29 @@ def annulus_distortion(rho1: float, rho2: float, alpha: float, rho0: float) -> f
     """Distortion log(sup L / inf L) of the conformal map over (rho1, rho2).
 
     The normalization height ``rho0`` cancels between sup and inf, so the
-    result does not depend on it.
+    result does not depend on it.  The checks are those of
+    :func:`annulus_distortions`, made on Python floats, and the value is the
+    scan solver's closure at sin(alpha).
     """
-    return float(annulus_distortions(rho1, rho2, [alpha], rho0)[0])
+    if not -1.0 < rho1 < rho2 < 1.0:
+        raise ValueError(f"need -1 < rho1 < rho2 < 1, got ({rho1}, {rho2})")
+    alpha = float(alpha)
+    if not 0.0 < alpha < math.pi / 2.0:
+        raise ValueError(f"alpha must lie in (0, pi/2), got {alpha}")
+    _check_open_unit("rho0", rho0)
+    return _distortion_in_a(rho1, rho2, rho0)(math.sin(alpha))
 
 
 def annulus_distortions(rho1: float, rho2: float, alphas, rho0: float) -> np.ndarray:
     """:func:`annulus_distortion` at each half-apex angle of a 1-D ``alphas``.
 
-    The arguments are checked once.  The per-angle sin and log1p stay in
-    ``math``, so every value equals the scalar function's bit for bit.
+    The arguments are checked once, and the closure of
+    :func:`_distortion_in_a` is evaluated as array arithmetic in its own
+    operation order, so every value equals the scalar function's bit for
+    bit.  ``np.sin`` matches ``math.sin`` (the byte tests of ``optimize
+    --scan`` guard that); ``np.log1p`` does not, so log1p(+-a) at the
+    samples inside [rho1, rho2], where the infimum is F at a itself, stays in
+    ``math``.
     """
     if not -1.0 < rho1 < rho2 < 1.0:
         raise ValueError(f"need -1 < rho1 < rho2 < 1, got ({rho1}, {rho2})")
@@ -150,8 +174,19 @@ def annulus_distortions(rho1: float, rho2: float, alphas, rho0: float) -> np.nda
     if bad.any():
         raise ValueError(f"alpha must lie in (0, pi/2), got {alphas[bad][0]}")
     _check_open_unit("rho0", rho0)
-    delta = _distortion_in_a(rho1, rho2, rho0)
-    return np.array([delta(math.sin(alpha)) for alpha in alphas.tolist()])
+    lp0, lm0, p1, m1, p2, m2 = _log_terms(rho1, rho2, rho0)
+    a = np.sin(alphas)
+    if (a == 1.0).any():  # sin rounds to 1 within about 1e-8 of pi/2
+        raise ValueError("y must lie in (-1, 1), got 1.0")
+    f1 = (1.0 + a) * p1 + (1.0 - a) * m1
+    f2 = (1.0 + a) * p2 + (1.0 - a) * m2
+    inf = np.where(a < rho1, f1, f2)
+    inside = (rho1 <= a) & (a <= rho2)
+    ai = a[inside]
+    log_p = np.fromiter(map(math.log1p, ai.tolist()), float, ai.size)
+    log_m = np.fromiter(map(math.log1p, (-ai).tolist()), float, ai.size)
+    inf[inside] = (1.0 + ai) * (lp0 - log_p) + (1.0 - ai) * (lm0 - log_m)
+    return 0.5 * (np.maximum(f1, f2) - inf)
 
 
 def optimal_alpha_by_root(rho1: float, rho2: float) -> float:

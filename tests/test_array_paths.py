@@ -16,10 +16,12 @@ from conicmaps import (
     SphericalAnnulus,
     SphericalPoint,
     SvgStyle,
+    annulus_distortion,
     annulus_distortions,
     graticule,
     log_squared_stretch,
     make_profile,
+    optimal_alpha_by_root,
     project_point,
     project_polylines,
     render_svg,
@@ -27,6 +29,7 @@ from conicmaps import (
     write_csv,
 )
 from conicmaps.cli import SUBCOMMANDS, build_parser, main, sigma_table
+from conicmaps.distortion import _distortion_in_a
 from conicmaps.projections import COMPARISON_ORDER, ProjectionParams
 from conftest import RHO1, RHO2
 
@@ -92,6 +95,112 @@ def test_annulus_distortions_checks_every_angle():
         annulus_distortions(RHO1, RHO2, [0.5, -0.1], RHO1)
     with pytest.raises(ValueError, match="rho1 < rho2"):
         annulus_distortions(RHO2, RHO1, [0.5], RHO1)
+
+
+# Bands down to 1e-10 wide and within 1e-8 of the pole, where the interior
+# branch's log1p(a) and log1p(-a) decide the last bits.
+SCAN_BANDS = BANDS + [(0.1, 0.1000000001), (0.99999999, 0.999999991)]
+
+
+def _bits(values):
+    """The float64 bit patterns, so that -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _assert_matches_scalar_paths(rho1, rho2, alphas, rho0):
+    got = annulus_distortions(rho1, rho2, alphas, rho0)
+    closure = _distortion_in_a(rho1, rho2, rho0)
+    reference = [_scalar_distortion(rho1, rho2, x, rho0) for x in alphas]
+    scan_solver = [closure(math.sin(x)) for x in alphas]
+    public = [annulus_distortion(rho1, rho2, x, rho0) for x in alphas]
+    assert got.dtype == np.float64 and got.shape == (len(alphas),)
+    for values in (reference, scan_solver, public):
+        np.testing.assert_array_equal(_bits(got), _bits(values))
+
+
+@pytest.mark.parametrize("band", SCAN_BANDS)
+def test_annulus_distortions_bit_identical_on_seeded_angles(band):
+    rng = np.random.default_rng(8)
+    alphas = rng.uniform(0.0, math.pi / 2.0, 1500)
+    # and angles whose sines fall inside and just around the band
+    lo, hi = (math.asin(max(r, 0.0)) for r in band)
+    alphas = np.concatenate((alphas, rng.uniform(0.5 * lo, min(2.0 * hi, 1.5), 500)))
+    alphas = alphas[alphas > 0.0].tolist()
+    for rho0 in (band[0], band[1], -0.5, 0.0):
+        _assert_matches_scalar_paths(band[0], band[1], alphas, rho0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_annulus_distortions_bit_identical_on_both_edges_of_the_interior(seed):
+    rng = np.random.default_rng(seed)
+    alphas = np.sort(rng.uniform(0.01, 1.5, 400)).tolist()
+    i, j = sorted(rng.choice(len(alphas), 2, replace=False).tolist())
+    rho1, rho2 = math.sin(alphas[i]), math.sin(alphas[j])
+    a = np.sin(alphas)
+    # both ends of the closed interval rho1 <= a <= rho2 are sampled exactly
+    assert (a == rho1).any() and (a == rho2).any()
+    for rho0 in (rho1, rho2, 0.3):
+        _assert_matches_scalar_paths(rho1, rho2, alphas, rho0)
+
+
+@pytest.mark.parametrize("band", SCAN_BANDS)
+def test_annulus_distortions_bit_identical_where_both_edges_tie(band):
+    """At the optimum the two edges have equal stretch, f1 == f2."""
+    alpha0 = optimal_alpha_by_root(*band)
+    near = (alpha0 + np.arange(-300, 301) * np.spacing(alpha0)).tolist()
+    ties = 0
+    for rho0 in (band[0], band[1], 0.0):
+        alphas = [alpha0] + [
+            x for x in near
+            if log_squared_stretch(band[0], math.sin(x), rho0)
+            == log_squared_stretch(band[1], math.sin(x), rho0)
+        ]
+        ties += len(alphas) - 1
+        _assert_matches_scalar_paths(band[0], band[1], alphas, rho0)
+    if band != (-0.3, 0.9):  # no double near its optimum ties exactly
+        assert ties > 0
+
+
+@pytest.mark.parametrize("band", SCAN_BANDS)
+def test_annulus_distortions_near_the_ends_of_the_angle_domain(band):
+    tiny = [5e-324, 1e-300, 1e-200, 1e-16, 1e-13, 1e-12]
+    _assert_matches_scalar_paths(band[0], band[1], tiny, band[0])
+    # sin rounds to 1.0 within about 1e-8 of pi/2: every path rejects it alike
+    for alpha in (math.pi / 2.0 - 1e-12, math.pi / 2.0 - 1e-13,
+                  math.nextafter(math.pi / 2.0, 0.0)):
+        messages = set()
+        for call in (
+            lambda: annulus_distortions(band[0], band[1], [0.5, alpha], band[0]),
+            lambda: annulus_distortion(band[0], band[1], alpha, band[0]),
+            lambda: _scalar_distortion(band[0], band[1], alpha, band[0]),
+            lambda: _distortion_in_a(band[0], band[1], band[0])(math.sin(alpha)),
+        ):
+            with pytest.raises(ValueError) as info:
+                call()
+            messages.add(str(info.value))
+        assert messages == {"y must lie in (-1, 1), got 1.0"}
+
+
+@pytest.mark.parametrize("band", SCAN_BANDS)
+def test_annulus_distortions_on_one_and_no_angles(band):
+    for alpha in (0.3, math.asin(band[0]) if band[0] > 0.0 else 0.01, 1.2):
+        _assert_matches_scalar_paths(band[0], band[1], [alpha], band[1])
+    _assert_matches_scalar_paths(band[0], band[1], [], band[1])
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0.5, 0.4, 0.8, 0.0), r"need -1 < rho1 < rho2 < 1, got \(0.5, 0.4\)"),
+    ((0.1, 0.5, math.nan, 0.0), r"alpha must lie in \(0, pi/2\), got nan"),
+    ((0.1, 0.5, 0, 0.0), r"alpha must lie in \(0, pi/2\), got 0.0"),
+    ((0.1, 0.5, 2.0, 0.0), r"alpha must lie in \(0, pi/2\), got 2.0"),
+    ((0.1, 0.5, 0.8, 1.0), r"rho0 must lie in \(-1, 1\), got 1.0"),
+])
+def test_annulus_distortion_scalar_and_array_reject_alike(args, message):
+    rho1, rho2, alpha, rho0 = args
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        annulus_distortion(rho1, rho2, alpha, rho0)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        annulus_distortions(rho1, rho2, [alpha], rho0)
 
 
 def _inside_band_lines(rng, lon_lo, lon_hi, count=6, vertices=40):
