@@ -237,15 +237,21 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    reports = compare_all(ProjectionParams(args.rho1, args.rho2))
+    """Print a kind that is no map of the band (a stretch vanishes on it) as
+    undefined, and leave it out of the CSV, whose kind_index names the rows."""
+    reports = compare_all(ProjectionParams(args.rho1, args.rho2), allow_undefined=True)
     print(f"{'kind':<22}{'distortion':>14}{'sup_stretch':>14}{'inf_stretch':>14}")
-    values = np.array([(i, rep.delta, math.exp(rep.sup_log), math.exp(rep.inf_log))
-                       for i, (_, rep) in enumerate(reports)])
-    for (kind, _), (_, delta, sup, inf) in zip(reports, values.tolist()):
+    rows = []
+    for i, (kind, rep) in enumerate(reports):
+        if rep is None:
+            print(f"{kind:<22}{'undefined':>14}")
+            continue
+        delta, sup, inf = rep.delta, math.exp(rep.sup_log), math.exp(rep.inf_log)
         print(f"{kind:<22}{delta:>14.10f}{sup:>14.10f}{inf:>14.10f}")
+        rows.append((i, delta, sup, inf))
     if args.csv:
         columns = ("kind_index", "distortion", "sup_stretch", "inf_stretch")
-        write_csv(CurveTable(columns, values), args.csv)
+        write_csv(CurveTable(columns, rows), args.csv)
     return 0
 
 

@@ -3,11 +3,13 @@
 Input coordinates are cartographic: longitude degrees in [-180, 180],
 latitude degrees in (-90, 90), converted once on projection to the internal
 (theta, rho) = (radians(lon) mod 2pi, sin(radians(lat))) coordinates.
-Clipping to the annulus and splitting at the cut meridian both happen in
-(longitude offset, rho) space, where the boundaries are coordinate-aligned;
-only the final step maps to the drawing plane.  Every stage is an array call
-over the vertices of all lines at once, and the SVG writer formats each path
-with one %-template.
+A polyline's vertices are a tuple of (lon, lat) tuples, as parsed from
+GeoJSON, or a read-only (n, 2) array, as the graticule builds them; either
+is checked on construction.  Clipping to the annulus and splitting at the
+cut meridian both happen in (longitude offset, rho) space, where the
+boundaries are coordinate-aligned; only the final step maps to the drawing
+plane.  Every stage is an array call over the vertices of all lines at once,
+and the SVG writer formats each path with one %-template.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -31,18 +33,41 @@ _MAX_VERTEX_SPACING_DEG = 0.25
 _JSON_NUMBERS = (int, float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeoPolyline:
-    """Named sequence of (longitude, latitude) vertices, in degrees."""
+    """Named sequence of (longitude, latitude) vertices, in degrees.
+
+    ``points`` is a sequence of pairs, stored as a tuple of float tuples, or
+    an (n, 2) array, stored as a read-only float64 copy and checked in array
+    calls.  Both forms reject the same input with the same message, naming
+    the first bad vertex.  Polylines compare by identity.
+    """
 
     name: str
-    points: tuple
+    points: tuple | np.ndarray
 
     def __post_init__(self):
-        pts = tuple((float(lon), float(lat)) for lon, lat in self.points)
+        try:
+            if isinstance(self.points, np.ndarray):
+                pts = np.array(self.points, dtype=float)
+                if pts.ndim == 0 or (len(pts) and pts.shape[1:] != (2,)):
+                    raise ValueError("not an (n, 2) array")
+            else:
+                pts = tuple((float(lon), float(lat)) for lon, lat in self.points)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"{self.name}: vertices must be (longitude, latitude) pairs of numbers"
+            ) from exc
         if len(pts) < 2:
             raise ValidationError(f"{self.name}: a polyline needs at least 2 points")
-        for lon, lat in pts:
+        vertices = pts
+        if isinstance(pts, np.ndarray):
+            pts.flags.writeable = False
+            lon, lat = pts.T
+            # NaN fails both tests; the loop below words the first failure
+            inside = (np.abs(lon) <= 180.0) & (np.abs(lat) < 90.0)
+            vertices = pts[~inside][:1].tolist()
+        for lon, lat in vertices:
             if not (math.isfinite(lon) and math.isfinite(lat)):
                 raise ValidationError(f"{self.name}: non-finite coordinate")
             if not -180.0 <= lon <= 180.0:
@@ -176,9 +201,9 @@ def parse_geojson_lines(document: str) -> ParsedLines:
     return ParsedLines(lines, ignored)
 
 
-def _frange_inclusive(lo: float, hi: float, max_step: float) -> list[float]:
+def _frange_inclusive(lo: float, hi: float, max_step: float) -> np.ndarray:
     n = max(1, math.ceil((hi - lo) / max_step - 1e-9))
-    return [lo + (hi - lo) * i / n for i in range(n + 1)]
+    return lo + (hi - lo) * np.arange(n + 1) / n
 
 
 def graticule(
@@ -190,7 +215,9 @@ def graticule(
     [-180, 180], so the +-180 meridian appears twice: once per edge of the
     developed sector.  Parallels sit at the two band boundaries plus every
     multiple of ``lat_step`` strictly inside the band.  All polylines are
-    densified to at most 0.25 degrees between vertices.
+    densified to at most 0.25 degrees between vertices, and their points
+    are (n, 2) arrays, built by broadcasting one coordinate column against
+    the meridian longitudes or the parallel latitudes.
     """
     if lon_step <= 0.0 or lat_step <= 0.0:
         raise ValueError("graticule steps must be positive")
@@ -199,12 +226,8 @@ def graticule(
     lat1 = math.degrees(math.asin(annulus.rho1))
     lat2 = math.degrees(math.asin(annulus.rho2))
 
-    out: list[GeoPolyline] = []
+    meridian_lons = -180.0 + np.arange(round(360.0 / lon_step) + 1) * lon_step
     lats = _frange_inclusive(lat1, lat2, _MAX_VERTEX_SPACING_DEG)
-    n_meridians = round(360.0 / lon_step)
-    for k in range(n_meridians + 1):
-        lon = -180.0 + k * lon_step
-        out.append(GeoPolyline(f"meridian {lon:g}", [(lon, lat) for lat in lats]))
 
     parallel_lats = [lat1]
     k = math.floor(lat1 / lat_step) + 1
@@ -214,9 +237,13 @@ def graticule(
         k += 1
     parallel_lats.append(lat2)
     lons = _frange_inclusive(-180.0, 180.0, _MAX_VERTEX_SPACING_DEG)
-    for lat in parallel_lats:
-        out.append(GeoPolyline(f"parallel {lat:g}", [(lon, lat) for lon in lons]))
-    return out
+
+    meridians = np.stack(np.broadcast_arrays(meridian_lons[:, None], lats), axis=-1)
+    parallels = np.stack(np.broadcast_arrays(lons, np.array(parallel_lats)[:, None]), axis=-1)
+    return [
+        GeoPolyline(f"meridian {lon:g}", pts)
+        for lon, pts in zip(meridian_lons.tolist(), meridians)
+    ] + [GeoPolyline(f"parallel {lat:g}", pts) for lat, pts in zip(parallel_lats, parallels)]
 
 
 @dataclass
@@ -236,30 +263,45 @@ def project_polylines(
     """Map polylines onto the drawing plane of a projection profile.
 
     The vertices of all lines are gathered into flat (longitude offset from
-    the central meridian, rho) arrays.  A segment whose offset jumps by more
-    than 180 degrees crosses the cut meridian and is split at the sector
-    edge; the pieces are then clipped to the annulus band, interpolating
-    linearly in (offset, rho).  The splits, the clip and the placement on the
+    the central meridian, rho) arrays, array-valued lines with one
+    concatenate.  A segment whose offset jumps by more than 180 degrees
+    crosses the cut meridian and is split at the sector edge; the pieces are
+    then clipped to the annulus band, interpolating linearly in (offset,
+    rho).  The splits, the clip and the placement on the
     plane are each a few array calls over every vertex at once, with one
     call of the profile; no Python loop runs over vertices.  Each path is an
     (n, 2) view of one array.  Input polylines that vanish entirely in
     clipping are dropped and counted.
     """
+    if not lines:
+        return ProjectedPaths([], 0)
     center_deg = math.degrees(cut) % 360.0 - 180.0
     lo, hi = profile.rho1, profile.rho2
     points = [line.points for line in lines]
     counts = np.fromiter(map(len, points), dtype=np.intp, count=len(points))
-    flat = np.fromiter(
-        chain.from_iterable(chain.from_iterable(points)), dtype=float, count=2 * counts.sum()
-    )
+    # Array lines go in as they are; each run of tuple lines is read with one
+    # np.fromiter, which is cheaper than converting its lines one by one.
+    blocks = []
+    for is_array, run in groupby(points, key=lambda p: isinstance(p, np.ndarray)):
+        if is_array:
+            blocks.extend(run)
+        else:
+            run = list(run)
+            flat = np.fromiter(
+                chain.from_iterable(chain.from_iterable(run)),
+                dtype=float,
+                count=2 * sum(map(len, run)),
+            )
+            blocks.append(flat.reshape(-1, 2))
+    lon, lat = np.concatenate(blocks).T
     line_id = np.repeat(np.arange(len(points)), counts)
     first = np.diff(line_id, prepend=-1) != 0  # starts a piece
     # fmod and the shifts are exact; an exact +-180 keeps its sign, so the two
     # edges of the cut stay distinguishable
-    off = np.fmod(flat[0::2] - center_deg, 360.0)
+    off = np.fmod(lon - center_deg, 360.0)
     off = np.where(off > 180.0, off - 360.0, off)
     off = np.where(off < -180.0, off + 360.0, off)
-    rho = np.sin(np.radians(flat[1::2]))
+    rho = np.sin(np.radians(lat))
 
     # Split at the seam: unwrap the far vertex next to the near one and cut
     # at the edge between them (a point on each edge), or, for an edge-to-edge

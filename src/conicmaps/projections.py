@@ -41,7 +41,7 @@ from .distortion import (
     optimal_alpha_by_root,
     profile_distortion,
 )
-from .errors import InvalidKind, OnCutMeridian, OutOfAnnulus
+from .errors import InvalidKind, NonPositiveStretch, OnCutMeridian, OutOfAnnulus
 from .sphere import TAU, PlanarPoint, SphericalAnnulus, SphericalPoint, annulus_modulus
 
 KIND_LAMBERT = "lambert"
@@ -326,10 +326,22 @@ def stretch_at(profile: MeridianProfile, rho: float) -> StretchSample:
 
 
 def compare_all(
-    params: ProjectionParams, n_grid: int = 4097
-) -> list[tuple[str, DistortionReport]]:
-    """Distortion report for all six kinds, in the fixed comparison order."""
-    return [
-        (kind, profile_distortion(make_profile(kind, params), n_grid))
-        for kind in COMPARISON_ORDER
-    ]
+    params: ProjectionParams, n_grid: int = 4097, allow_undefined: bool = False
+) -> list[tuple[str, DistortionReport | None]]:
+    """Distortion report for all six kinds, in the fixed comparison order.
+
+    A kind whose stretch is not positive on the band is no map of it and
+    raises :class:`NonPositiveStretch`; with ``allow_undefined`` its report
+    is None instead.
+    """
+    rows = []
+    for kind in COMPARISON_ORDER:
+        profile = make_profile(kind, params)
+        try:
+            report = profile_distortion(profile, n_grid)
+        except NonPositiveStretch:
+            if not allow_undefined:
+                raise
+            report = None
+        rows.append((kind, report))
+    return rows

@@ -30,6 +30,7 @@ from conicmaps import (
 )
 from conicmaps.cli import SUBCOMMANDS, build_parser, main, sigma_table
 from conicmaps.distortion import _distortion_in_a
+from conicmaps.errors import ValidationError
 from conicmaps.projections import COMPARISON_ORDER, ProjectionParams
 from conftest import RHO1, RHO2
 
@@ -598,3 +599,137 @@ def test_project_polylines_equals_scalar_loop(kind, cut_deg):
     assert len(projected.paths) == len(paths)
     for got, want in zip(projected.paths, paths):
         assert np.asarray(got).tobytes() == want.tobytes()
+
+
+def _list_graticule(lon_step, lat_step, annulus):
+    """The graticule as a list of (name, vertex tuples), built one vertex at
+    a time in Python floats."""
+
+    def frange(lo, hi):
+        n = max(1, math.ceil((hi - lo) / 0.25 - 1e-9))
+        return [lo + (hi - lo) * i / n for i in range(n + 1)]
+
+    lat1 = math.degrees(math.asin(annulus.rho1))
+    lat2 = math.degrees(math.asin(annulus.rho2))
+    out = []
+    lats = frange(lat1, lat2)
+    for k in range(round(360.0 / lon_step) + 1):
+        lon = -180.0 + k * lon_step
+        out.append((f"meridian {lon:g}", [(lon, lat) for lat in lats]))
+    parallel_lats = [lat1]
+    k = math.floor(lat1 / lat_step) + 1
+    while k * lat_step < lat2 - 1e-9:
+        if k * lat_step > lat1 + 1e-9:
+            parallel_lats.append(k * lat_step)
+        k += 1
+    parallel_lats.append(lat2)
+    lons = frange(-180.0, 180.0)
+    for lat in parallel_lats:
+        out.append((f"parallel {lat:g}", [(lon, lat) for lon in lons]))
+    return out
+
+
+GRATICULE_BANDS = [
+    (RHO1, RHO2),
+    (math.sin(math.radians(50.2)), math.sin(math.radians(51.8))),
+    (0.1, 0.1000000001),
+    (0.94, 0.96),
+    (-0.3, 0.9),  # np.linspace would round 65 of its 328 latitudes differently
+]
+
+
+@pytest.mark.parametrize("band", GRATICULE_BANDS)
+@pytest.mark.parametrize("lon_step", [10.0, 90.0, 7.5])
+def test_graticule_matches_list_reference_bit_for_bit(band, lon_step):
+    annulus = SphericalAnnulus(*band)
+    lines = graticule(lon_step, 5.0, annulus)
+    reference = _list_graticule(lon_step, 5.0, annulus)
+    assert [line.name for line in lines] == [name for name, _ in reference]
+    for line, (_, vertices) in zip(lines, reference):
+        assert isinstance(line.points, np.ndarray)
+        want = np.array(vertices, dtype=float).view(np.int64)
+        np.testing.assert_array_equal(line.points.view(np.int64), want)
+
+
+BAD_POLYLINES = [
+    ([], "a polyline needs at least 2 points"),
+    ([(0.0, 50.0)], "a polyline needs at least 2 points"),
+    ([(0.0, 50.0), (math.nan, 50.0)], "non-finite coordinate"),
+    ([(0.0, 50.0), (math.inf, 50.0)], "non-finite coordinate"),
+    ([(0.0, 50.0), (0.0, -math.inf)], "non-finite coordinate"),
+    ([(0.0, 50.0), (180.5, 50.0)], "longitude 180.5 out of range"),
+    ([(-180.25, 50.0), (0.0, 50.0)], "longitude -180.25 out of range"),
+    ([(0.0, 50.0), (0.0, 90.0)], "latitude 90.0 out of range"),
+    ([(0.0, -90.0), (0.0, 50.0)], "latitude -90.0 out of range"),
+    ([(0.0, 50.0), (0.0, 95.0), (200.0, 50.0), (math.nan, 0.0)], "latitude 95.0 out of range"),
+    ([(0.0, 50.0), (300.0, math.nan), (0.0, 95.0)], "non-finite coordinate"),
+    ([(0.0, 50.0), (300.0, 95.0), (0.0, 95.0)], "longitude 300.0 out of range"),
+    ([(0.0, 50.0, 1.0), (1.0, 51.0, 2.0)], "vertices must be (longitude, latitude) pairs of numbers"),
+    ([0.0, 50.0, 1.0, 51.0], "vertices must be (longitude, latitude) pairs of numbers"),
+    ([(), (), ()], "vertices must be (longitude, latitude) pairs of numbers"),
+]
+
+
+@pytest.mark.parametrize("vertices, message", BAD_POLYLINES)
+def test_array_and_tuple_points_are_rejected_alike(vertices, message):
+    pattern = f"^line: {re.escape(message)}$"
+    with pytest.raises(ValidationError, match=pattern):
+        GeoPolyline("line", vertices)
+    with pytest.raises(ValidationError, match=pattern):
+        GeoPolyline("line", np.array(vertices, dtype=float))
+
+
+def test_array_points_accept_the_edges_of_the_domain():
+    vertices = [(-180.0, -89.99999999999999), (180.0, 89.99999999999999), (0.0, 0.0)]
+    line = GeoPolyline("edges", np.array(vertices))
+    assert line.points.tolist() == [list(v) for v in vertices]
+    assert GeoPolyline("edges", vertices).points == tuple(vertices)
+
+
+def test_array_points_are_a_read_only_copy():
+    vertices = np.array([[10.0, 50.0], [20.0, 55.0]])
+    line = GeoPolyline("copy", vertices)
+    assert line.points.dtype == np.float64 and not line.points.flags.writeable
+    with pytest.raises(ValueError):
+        line.points[0, 0] = 0.0
+    vertices[0, 0] = 99.0
+    assert line.points.tolist() == [[10.0, 50.0], [20.0, 55.0]]
+    read_only = np.array([[1, 50], [2, 51]])
+    read_only.flags.writeable = False
+    assert GeoPolyline("ints", read_only).points.tolist() == [[1.0, 50.0], [2.0, 51.0]]
+
+
+def test_polylines_with_array_points_compare_and_hash():
+    a = GeoPolyline("a", np.array([[10.0, 50.0], [20.0, 55.0]]))
+    b = GeoPolyline("a", np.array([[10.0, 50.0], [20.0, 55.0]]))
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+    assert hash(GeoPolyline("t", [(10.0, 50.0), (20.0, 55.0)])) is not None
+
+
+@pytest.mark.parametrize("kind", COMPARISON_ORDER)
+@pytest.mark.parametrize("cut_deg", [180.0, -179.0, 37.3])
+def test_project_polylines_on_mixed_array_and_tuple_lines(kind, cut_deg):
+    profile = _PROFILES[kind]
+    cut = math.radians(cut_deg)
+    grid = graticule(30.0, 5.0, SphericalAnnulus(_PARAMS.rho1, _PARAMS.rho2))
+    tuples = [GeoPolyline(name, vertices) for name, (vertices, _) in SPLIT_CLIP_CASES.items()]
+    tuples += _random_lines(np.random.default_rng(11), count=12)
+    # alternate single lines and runs of each form, and convert some tuple
+    # lines to arrays
+    lines = []
+    for k, line in enumerate(tuples):
+        lines.append(line if k % 3 else GeoPolyline(line.name, np.array(line.points)))
+        lines.extend(grid[k % len(grid): k % len(grid) + k % 3])
+    assert {isinstance(line.points, np.ndarray) for line in lines[:6]} == {True, False}
+    projected = project_polylines(profile, lines, cut)
+    paths, dropped = _scalar_paths(profile, lines, cut)
+    assert projected.dropped == dropped
+    assert len(projected.paths) == len(paths)
+    for got, want in zip(projected.paths, paths):
+        assert np.asarray(got).tobytes() == want.tobytes()
+
+
+def test_project_polylines_of_no_lines():
+    projected = project_polylines(_PROFILES["lambert"], [])
+    assert (projected.paths, projected.dropped) == ([], 0)

@@ -110,6 +110,29 @@ class TestTable:
         for line in rows:
             assert all(math.isfinite(float(v)) for v in line.split()[1:]), line
 
+    def test_wide_band_prints_the_undefined_kind(self, tmp_path):
+        # the delisle-equidistant slant distance vanishes on this band
+        out = tmp_path / "table.csv"
+        res = run_cli("table", "--rho1", "-0.6", "--rho2", "0.998", "--csv", str(out))
+        assert res.returncode == 0, res.stderr
+        rows = [line.split() for line in res.stdout.strip().split("\n")[1:]]
+        assert [row[0] for row in rows] == [
+            "central",
+            "delisle",
+            "delisle-equidistant",
+            "orthogonal",
+            "teichmuller",
+            "lambert",
+        ]
+        assert rows[2][1:] == ["undefined"]
+        for row in rows[:2] + rows[3:]:
+            assert len(row) == 4 and all(math.isfinite(float(v)) for v in row[1:]), row
+        lines = out.read_text().strip().split("\n")
+        assert lines[0] == "kind_index,distortion,sup_stretch,inf_stretch"
+        assert [int(line.split(",")[0]) for line in lines[1:]] == [0, 1, 3, 4, 5]
+        for line, row in zip(lines[1:], rows[:2] + rows[3:]):
+            assert f"{float(line.split(',')[1]):.10f}" == row[1]
+
 
 class TestCurves:
     def test_row_count_and_endpoints(self, tmp_path):
