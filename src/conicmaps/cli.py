@@ -185,6 +185,12 @@ def scan_table(rho1: float, rho2: float, n: int = 2001) -> CurveTable:
     return CurveTable(("sin_alpha", "distortion"), np.column_stack((a, delta)))
 
 
+def _require_positive(h_m: np.ndarray, h_p: np.ndarray) -> None:
+    """A kind whose stretch vanishes somewhere on the band is no map of it."""
+    if np.any(h_m <= 0.0) or np.any(h_p <= 0.0):
+        raise NonPositiveStretch("stretches must be positive")
+
+
 def sigma_table(rho1: float, rho2: float, n: int = 1001) -> CurveTable:
     """Bi-Lipschitz constant of the six kinds at n evenly spaced heights."""
     params = ProjectionParams(rho1, rho2)
@@ -197,8 +203,7 @@ def sigma_table(rho1: float, rho2: float, n: int = 1001) -> CurveTable:
     columns = [rho]
     for profile in profiles:
         h_m, h_p = profile.stretches(eps)
-        if np.any(h_m <= 0.0) or np.any(h_p <= 0.0):
-            raise NonPositiveStretch("stretches must be positive")
+        _require_positive(h_m, h_p)
         columns.append(np.maximum(np.maximum(h_m, h_p), np.maximum(1.0 / h_m, 1.0 / h_p)))
     names = ["rho"] + [f"sigma_{p.kind}" for p in profiles]
     return CurveTable(names, np.column_stack(columns))
@@ -273,6 +278,10 @@ def cmd_project(args: argparse.Namespace) -> int:
         alpha = _downward_alpha(args.rho1, args.rho2)
     cut = math.radians(args.cut)
     profile = make_profile(args.kind, ProjectionParams(args.rho1, args.rho2, alpha))
+    # A stretch is extreme on the band only at its edges or at the profile's
+    # critical colatitudes, so its sign there is its sign on the band.
+    inner = [e for e in profile.critical or () if profile.eps_hi < e < profile.eps_lo]
+    _require_positive(*profile.stretches([profile.eps_hi, profile.eps_lo, *inner]))
     annulus = SphericalAnnulus(args.rho1, args.rho2)
     grat = project_polylines(profile, graticule(10.0, 5.0, annulus), cut)
     overlays = []

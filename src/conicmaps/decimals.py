@@ -1,0 +1,197 @@
+"""Exact array-valued decimal text: ``'%.17g' % v`` and ``'%.8f' % v`` of
+every value of a float array, byte for byte, without a call per value.
+
+Each value is scaled by a power of ten as an exact double-double (hi, lo)
+with Dekker's two-product and rounded half to even to an integer, whose
+digits come from integer division by constants.  The text is laid out in a
+column-major uint8 array, one column a value, with a mask of the bytes
+that belong to it.  A value outside a format's fast domain is formatted by
+``%`` itself and spliced into place.  This is the one number writer of the
+CSV and SVG output (see ``geodata.write_csv`` and ``geodata.render_svg``).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+# Values formatted per pass, in whole rows.  It bounds the temporaries of a
+# pass, about 270 bytes a value, and is large enough that the few dozen
+# numpy calls of a pass cost little beside their work.
+_CHUNK_VALUES = 4096
+
+# 2**27 + 1 splits a double into two halves of at most 26 bits (Veltkamp),
+# whose pairwise products are exact.
+_SPLIT = 134217729.0
+_POW10 = np.array([float(10**p) for p in range(23)])  # exact for p <= 22
+
+
+def _halves(a):
+    c = _SPLIT * a
+    high = c - (c - a)
+    return high, a - high
+
+
+_POW10_HIGH, _POW10_LOW = _halves(_POW10)
+
+
+def _times_pow10(a, p):
+    """(hi, lo): hi is a * 10**p rounded to a double and hi + lo is the exact
+    product (Dekker's two-product).  numpy never fuses a multiply with an add,
+    so every step rounds as written."""
+    hi = a * _POW10[p]
+    ah, al = _halves(a)
+    bh, bl = _POW10_HIGH[p], _POW10_LOW[p]
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+def _digit_rows(r: np.ndarray, out: np.ndarray) -> None:
+    """Write the decimal digits of the (k, n) integers ``r`` below 10**8 into
+    the (8k, n) uint8 array ``out``: digit values, eight rows a number, most
+    significant first."""
+    groups = np.empty((2 * len(r), r.shape[1]), np.int64)
+    np.floor_divide(r, 10**4, out=groups[0::2])
+    np.subtract(r, 10**4 * groups[0::2], out=groups[1::2])
+    hundreds = groups // 100
+    pairs = np.empty((len(out) // 2, r.shape[1]), np.uint8)
+    pairs[0::2] = hundreds
+    pairs[1::2] = groups - 100 * hundreds
+    np.floor_divide(pairs, 10, out=out[0::2])
+    np.subtract(pairs, 10 * out[0::2], out=out[1::2])
+
+
+# Row numbers of a frame, and the digit value that '0' turns into '.'.
+_ROWS = np.arange(22, dtype=np.int8)[:, None]
+_POINT = np.uint8(ord(".") - ord("0") + 256)
+
+
+def _g17_frame(ax: np.ndarray, frame: np.ndarray, keep: np.ndarray) -> None:
+    """'%.17g' of each ax in [1e-4, 1e16), as ASCII in the (22, n) ``frame``,
+    whose ``keep`` rows are the text.
+
+    In this range %.17g is fixed notation: the 17 significant digits D of
+    ax = D * 10**(X - 16), a point after the units digit, "0." and zeros
+    first when X < 0, and no trailing zeros or bare point.
+    """
+    # log10 can be one off next to a power of ten; e is then corrected so
+    # that 1e16 <= ax * 10**(16 - e) < 1e17 holds for the exact product.
+    e = np.floor(np.log10(ax)).astype(np.intp)
+    hi, lo = _times_pow10(ax, 16 - e)
+    step = ((hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))).view(np.int8)
+    step -= ((hi < 1e16) | ((hi == 1e16) & (lo < 0.0))).view(np.int8)
+    fix = np.flatnonzero(step)
+    if len(fix):
+        e[fix] += step[fix]
+        hi[fix], lo[fix] = _times_pow10(ax[fix], 16 - e[fix])
+    # hi >= 1e16 > 2**53 is an even integer, so rounding hi + lo half to
+    # even is rounding lo half to even.  d never rounds up to 10**17: no
+    # double of the domain lies within 5e-18 relative below a power of ten.
+    d = hi.astype(np.int64)
+    d += np.rint(lo).astype(np.int64)
+    x = e.astype(np.int8)
+    del e, hi, lo  # each pass's peak memory is in the digit arrays below
+    # Digit values: a pad, the four zeros of "0.000", then the 17 digits.
+    a = np.zeros((23, len(ax)), np.uint8)
+    lead = d // 10**16
+    a[5] = lead
+    d -= lead * 10**16
+    high = d // 10**8
+    d -= high * 10**8
+    _digit_rows(np.stack((high, d)), a[6:22])
+    del d, high, lead
+    last = ((a[6:22] != 0) * _ROWS[6:22]).max(axis=0)  # the last nonzero digit
+    np.maximum(last, 5, out=last)
+    # Row r of the text is a[r + 1] up to the units digit (row 4 + x), then
+    # the point, then a[r].
+    np.subtract(a[1:], a[:-1], out=frame)
+    frame *= _ROWS <= 4 + x
+    frame += a[:-1]
+    frame -= (_ROWS == 5 + x) * (frame - _POINT)
+    frame += ord("0")
+    # The text runs from "0" (x < 0) or the leading digit to the last
+    # nonzero digit after the point, or to the units digit if there is none.
+    np.greater_equal(_ROWS, 4 + np.minimum(x, 0), out=keep)
+    keep &= _ROWS <= np.where(last <= 5 + x, 4 + x, last)
+
+
+def _f8_frame(ax: np.ndarray, frame: np.ndarray, keep: np.ndarray) -> None:
+    """'%.8f' of each ax with ax * 1e8 <= 2**52, as ASCII in the (17, n)
+    ``frame``: eight integer digits, the point and eight decimals, of which
+    ``keep`` drops the leading zeros before the units digit."""
+    hi, lo = _times_pow10(ax, 8)
+    m = np.rint(hi)
+    # hi - m is exact; only on a tie of hi does lo decide, and it rounds
+    # away from m when it points away from m.
+    off = hi - m
+    tie = np.flatnonzero((np.abs(off) == 0.5) & (lo * off > 0.0))
+    m[tie] += 2.0 * off[tie]
+    del hi, lo, off
+    m = m.astype(np.int64)
+    units = m // 10**8
+    m -= units * 10**8
+    digits = np.empty((16, len(ax)), np.uint8)
+    _digit_rows(np.stack((units, m)), digits)
+    frame[:8] = digits[:8]
+    frame[8] = _POINT
+    frame[9:] = digits[8:]
+    frame += ord("0")
+    np.greater_equal(units, _POW10[7:0:-1, None], out=keep[:7])
+    keep[7:] = True
+
+
+# spec -> (frame rows, frame function, fast domain of |x|).  %.17g is fixed
+# notation on its domain; below the %.8f bound ax * 1e8 rounds to at most
+# 2**52, where hi - rint(hi) is exact.
+_FORMATS = {
+    "%.17g": (22, _g17_frame, lambda ax: (ax >= 1e-4) & (ax < 1e16)),
+    "%.8f": (17, _f8_frame, lambda ax: ax < 2.0**52 / 1e8),
+}
+
+
+def decimal_chunks(values: np.ndarray, spec: str, seps: tuple, ends):
+    """Yield the text of the (m, k) float array ``values``, in row order and
+    one chunk of rows at a time: each value formatted as ``spec % value``
+    ("%.17g" or "%.8f"), byte for byte, and followed by the separator
+    ``seps[ends[i, j]]``; ``ends`` is an integer array that broadcasts
+    against ``values``.
+
+    Each chunk of rows is laid out column-major, one column of bytes a
+    value: the sign, the frame of the number's digits and point, and the
+    separator, with a mask of the bytes that belong to the text, which one
+    boolean index compacts.  The digits come from exact integer arithmetic
+    on the value scaled by a power of ten (see ``_times_pow10``).  A value
+    outside the format's fast domain (zero, subnormals, exponent notation,
+    large or non-finite values) is formatted by ``%`` and spliced in.
+    """
+    width, build_frame, fast_domain = _FORMATS[spec]
+    encoded = [s.encode("ascii") for s in seps]
+    sep_width = max(map(len, encoded))
+    sep_bytes = np.zeros((sep_width, len(seps)), np.uint8)
+    sep_keep = np.zeros((sep_width, len(seps)), bool)
+    for j, s in enumerate(encoded):
+        sep_bytes[: len(s), j] = tuple(s)
+        sep_keep[: len(s), j] = True
+    ends = np.broadcast_to(ends, values.shape)
+    chunk = max(1, _CHUNK_VALUES // max(1, values.shape[1]))
+    for start in range(0, len(values), chunk):
+        x = values[start : start + chunk].ravel()
+        ids = ends[start : start + chunk].ravel()
+        text = np.empty((1 + width + sep_width, len(x)), np.uint8)
+        keep = np.empty(text.shape, bool)
+        text[0] = ord("-")
+        np.signbit(x, out=keep[0])
+        ax = np.abs(x)
+        outside = np.flatnonzero(~fast_domain(ax))
+        ax[outside] = 1.0
+        build_frame(ax, text[1 : 1 + width], keep[1 : 1 + width])
+        # A NUL marks where each value outside the domain goes.
+        text[0, outside] = 0
+        keep[:, outside] = False
+        keep[0, outside] = True
+        text[1 + width :] = sep_bytes[:, ids]
+        keep[1 + width :] = sep_keep[:, ids]
+        text = text.T[keep.T].tobytes().decode("ascii")
+        if len(outside):
+            parts = text.split("\0")
+            slow = x[outside].tolist()
+            text = parts[0] + "".join(spec % v + part for v, part in zip(slow, parts[1:]))
+        yield text

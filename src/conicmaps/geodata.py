@@ -8,8 +8,9 @@ GeoJSON, or a read-only (n, 2) array, as the graticule builds them; either
 is checked on construction.  Clipping to the annulus and splitting at the
 cut meridian both happen in (longitude offset, rho) space, where the
 boundaries are coordinate-aligned; only the final step maps to the drawing
-plane.  Every stage is an array call over the vertices of all lines at once,
-and the SVG writer formats each path with one %-template.
+plane.  Every stage is an array call over the vertices of all lines at once.
+The numbers of the CSV and SVG text come from the array decimal writer of
+``decimals``, byte for byte what ``'%.17g' % v`` and ``'%.8f' % v`` give.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from itertools import chain, groupby
 
 import numpy as np
 
+from .decimals import decimal_chunks
 from .errors import ParseError, ValidationError
 from .projections import DEFAULT_CUT_LONGITUDE, MeridianProfile
 from .sphere import SphericalAnnulus
@@ -365,14 +367,16 @@ def project_polylines(
     return ProjectedPaths(np.split(xy, np.flatnonzero(first)[1:]), dropped)
 
 
-def _write_text(text: str, dest, what: str) -> None:
-    """Write ``text`` to a text stream, or to a file at path ``dest``."""
+def _write_text(pieces, dest, what: str) -> None:
+    """Write the strings ``pieces`` to a text stream, or to a file at path
+    ``dest``."""
     if hasattr(dest, "write"):
-        dest.write(text)
+        for piece in pieces:
+            dest.write(piece)
         return
     try:
         with open(dest, "w", newline="\n", encoding="ascii") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise OSError(f"cannot write {what} to {dest}: {exc}") from exc
 
@@ -381,11 +385,16 @@ def write_csv(table: CurveTable, dest) -> None:
     """CSV with a header row, '.' decimals, 17 significant digits, LF ends.
 
     ``dest`` is a path or a text stream.  The 17-digit format makes the
-    write/read round trip bit-exact for every IEEE double.
+    write/read round trip bit-exact for every IEEE double.  The body is
+    byte for byte ``'%.17g' % v`` of every value, written chunk by chunk by
+    the array decimal writer ``decimal_chunks``.
     """
-    row_format = ",".join(["%.17g"] * len(table.columns)) + "\n"
-    body = (row_format * len(table.values)) % tuple(table.values.ravel().tolist())
-    _write_text(",".join(table.columns) + "\n" + body, dest, "CSV")
+    ends = np.zeros(len(table.columns), np.uint8)
+    ends[-1:] = 1
+    body = decimal_chunks(table.values, "%.17g", (",", "\n"), ends)
+    if not table.columns:  # rows of no values are empty lines
+        body = ["\n" * len(table.values)]
+    _write_text(chain([",".join(table.columns) + "\n"], body), dest, "CSV")
 
 
 def render_svg(layer_groups) -> str:
@@ -394,13 +403,16 @@ def render_svg(layer_groups) -> str:
     ``layer_groups`` is a sequence of (SvgStyle, list-of-paths) pairs; each
     path is an (n, 2) array or a sequence of (x, y) points.  The viewBox is
     fitted to the geometry with a 2% margin; output is deterministic for
-    identical input.  Each path is written with one %-template of n points.
+    identical input.  Every coordinate is byte for byte ``'%.8f' % v``;
+    the coordinates of all paths are written in one call of the array
+    decimal writer ``decimal_chunks``, one line a path.
     """
     groups = [
         (style, [np.asarray(path, dtype=float).reshape(-1, 2) for path in paths])
         for style, paths in layer_groups
     ]
-    pts = np.concatenate([path for _, paths in groups for path in paths] or [np.empty((0, 2))])
+    paths = [path for _, group in groups for path in group]
+    pts = np.concatenate(paths or [np.empty((0, 2))])
     if len(pts):
         min_x, min_y = pts.min(axis=0).tolist()
         max_x, max_y = pts.max(axis=0).tolist()
@@ -411,20 +423,25 @@ def render_svg(layer_groups) -> str:
     pad = 0.02 * span
     box = (min_x - pad, min_y - pad, max_x - min_x + 2 * pad, max_y - min_y + 2 * pad)
 
+    # x ends with " ", y with " L ", the last y of a path with a newline;
+    # a path of no points has no line of its own and is written empty.
+    ends = np.tile(np.array([0, 1], np.uint8), (len(pts), 1))
+    counts = np.array([len(path) for path in paths], np.intp)
+    ends[np.cumsum(counts)[counts > 0] - 1, 1] = 2
+    coords = "".join(decimal_chunks(pts, "%.8f", (" ", " L ", "\n"), ends))
+    coords = iter(coords.split("\n"))
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         'viewBox="%.8f %.8f %.8f %.8f">' % box,
     ]
-    for style, paths in groups:
+    for style, group in groups:
         out.append(
             f'<g fill="none" stroke="{style.stroke}" '
             f'stroke-width="{format(style.stroke_width, ".8g")}">'
         )
         out.extend(
-            ('<path d="M ' + " L ".join(["%.8f %.8f"] * len(path)) + '"/>')
-            % tuple(path.ravel().tolist())
-            for path in paths
+            '<path d="M ' + (next(coords) if len(path) else "") + '"/>' for path in group
         )
         out.append("</g>")
     out.append("</svg>")
@@ -436,4 +453,4 @@ def write_svg(paths, style: SvgStyle, dest, overlays=()) -> None:
 
     ``overlays`` are further (SvgStyle, paths) groups drawn on top.
     """
-    _write_text(render_svg([(style, list(paths)), *overlays]), dest, "SVG")
+    _write_text([render_svg([(style, list(paths)), *overlays])], dest, "SVG")

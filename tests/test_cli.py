@@ -270,3 +270,28 @@ class TestMakeFigures:
         assert (outdir / "sigma_comparison.csv").read_text() == run_cli("curves").stdout
         scan = run_cli("optimize", "--scan").stdout
         assert scan.endswith((outdir / "optimal_scan.csv").read_text())
+
+
+class TestProjectOnAWideBand:
+    """On (-0.6, 0.998) the delisle-equidistant slant distance vanishes near
+    the upper edge, so that kind is no map of the band: project refuses it
+    as curves does, and draws the other five."""
+
+    BAND = ("--rho1", "-0.6", "--rho2", "0.998")
+
+    def test_kind_that_is_no_map_of_the_band_exits_2(self, tmp_path):
+        out = tmp_path / "map.svg"
+        res = run_cli("project", "--kind", "delisle-equidistant", *self.BAND, "--out", str(out))
+        assert res.returncode == 2
+        assert res.stderr == "error: stretches must be positive\n"
+        assert res.stdout == "" and not out.exists()
+        curves = run_cli("curves", *self.BAND)
+        assert (curves.returncode, curves.stderr) == (2, res.stderr)
+
+    @pytest.mark.parametrize(
+        "kind", ["central", "delisle", "orthogonal", "teichmuller", "lambert"]
+    )
+    def test_the_other_kinds_still_draw(self, kind):
+        res = run_cli("project", "--kind", kind, *self.BAND)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith("<?xml") and res.stdout.endswith("</svg>\n")
