@@ -2,12 +2,15 @@
 
 Every subcommand takes the band: --rho1/--rho2 (heights) or --lat1/--lat2
 (latitudes, radians unless --degrees).  Each one parses only the options it
-reads; ``SUBCOMMANDS`` holds each one's help, options and handler, and a
-call builds the options of the invoked subcommand only.
+reads; ``SUBCOMMANDS`` holds each one's help, options and handler.  A call
+whose first argument names a subcommand builds one flat parser with that
+subcommand's options only; any other call builds the top-level parser, which
+lists the subcommands and serves help and usage errors.
 
-Exit codes: 0 success, 1 a reproduction target missed, 2 invalid parameters
-(including an option the subcommand does not take), 3 unreadable/unparseable
-input file, 4 cannot write output.  All numeric output is locale independent.
+Exit codes: 0 success, 1 a reproduction target missed or undefined on the
+band, 2 invalid parameters (including an option the subcommand does not
+take), 3 unreadable/unparseable input file, 4 cannot write output.  All
+numeric output is locale independent.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .distortion import (
     optimal_alpha_by_scan,
 )
 from .cone import second_intersection_height
-from .errors import NonPositiveStretch, ParseError, ValidationError
+from .errors import NoIntersection, NonPositiveStretch, ParseError, ValidationError
 
 # render_svg and stretch_at are not called here, but benchmarks/tracing.py
 # wraps them in this namespace, so they stay imported.
@@ -134,17 +137,26 @@ def _add_project_options(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """Every subcommand's name and help, but the options of ``command`` only."""
-    parser = argparse.ArgumentParser(
-        prog="conicmaps",
-        description="Conical projections of a spherical band and their distortion.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_options, _) in SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        if name == command:
-            _add_band(p)
-            add_options(p)
+    """The flat parser of ``command``, or with None the top-level parser.
+
+    A subcommand's parser takes the subcommand's name as its first argument,
+    left out of its help, and then only that subcommand's options.  The
+    top-level parser lists every subcommand's name and help and takes no
+    options; it serves help and reports a missing or unknown subcommand.
+    """
+    if command is None:
+        parser = argparse.ArgumentParser(
+            prog="conicmaps",
+            description="Conical projections of a spherical band and their distortion.",
+        )
+        sub = parser.add_subparsers(dest="command", required=True)
+        for name, (help_text, _, _) in SUBCOMMANDS.items():
+            sub.add_parser(name, help=help_text)
+        return parser
+    parser = argparse.ArgumentParser(prog=f"conicmaps {command}")
+    parser.add_argument("command", choices=(command,), help=argparse.SUPPRESS)
+    _add_band(parser)
+    SUBCOMMANDS[command][1](parser)
     return parser
 
 
@@ -278,10 +290,7 @@ def cmd_project(args: argparse.Namespace) -> int:
         alpha = _downward_alpha(args.rho1, args.rho2)
     cut = math.radians(args.cut)
     profile = make_profile(args.kind, ProjectionParams(args.rho1, args.rho2, alpha))
-    # A stretch is extreme on the band only at its edges or at the profile's
-    # critical colatitudes, so its sign there is its sign on the band.
-    inner = [e for e in profile.critical or () if profile.eps_hi < e < profile.eps_lo]
-    _require_positive(*profile.stretches([profile.eps_hi, profile.eps_lo, *inner]))
+    _require_positive(*profile.candidate_stretches()[1:])
     annulus = SphericalAnnulus(args.rho1, args.rho2)
     grat = project_polylines(profile, graticule(10.0, 5.0, annulus), cut)
     overlays = []
@@ -302,7 +311,8 @@ def cmd_project(args: argparse.Namespace) -> int:
     return 0
 
 
-def _reproduction_rows(rho1: float, rho2: float) -> list[tuple[str, float, float, float]]:
+def _reproduction_rows(rho1: float, rho2: float) -> list[tuple[str, float, float | None, float]]:
+    """(target, reference, computed or None where undefined, tolerance) rows."""
     params = ProjectionParams(rho1, rho2)
     teichmuller = make_profile(projections.KIND_TEICHMULLER, params).aux
 
@@ -310,7 +320,10 @@ def _reproduction_rows(rho1: float, rho2: float) -> list[tuple[str, float, float
     alpha_scan = optimal_alpha_by_scan(rho1, rho2)
     delta_min = annulus_distortion(rho1, rho2, alpha_root, rho1)
     lambert_cone = make_profile(projections.KIND_LAMBERT, params).cone
-    upper = second_intersection_height(lambert_cone, rho1)
+    try:
+        upper = second_intersection_height(lambert_cone, rho1)
+    except NoIntersection:  # the band reaches above the Lambert cone's apex
+        upper = None
 
     rows = [
         ("mod_sphere_annulus", teichmuller["mod_sphere"]),
@@ -322,8 +335,8 @@ def _reproduction_rows(rho1: float, rho2: float) -> list[tuple[str, float, float
         ("min_distortion", delta_min),
         ("upper_intersection_height", upper),
     ]
-    for kind, report in compare_all(params):
-        rows.append((f"distortion {kind}", report.delta))
+    for kind, report in compare_all(params, allow_undefined=True):
+        rows.append((f"distortion {kind}", None if report is None else report.delta))
     return [
         (name, REPRODUCTION_TARGETS[name][0], value, REPRODUCTION_TARGETS[name][1])
         for name, value in rows
@@ -337,13 +350,13 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
           f"{'abs_err':>10}  result")
     failures = 0
     for name, ref, value, tol in rows:
-        err = abs(value - ref)
-        ok = err <= tol
+        if value is None:
+            ok, cells = False, f"{'undefined':>18}  {'':>10}"
+        else:
+            err = abs(value - ref)
+            ok, cells = err <= tol, f"{value:>18.12g}  {err:>10.3g}"
         failures += 0 if ok else 1
-        print(
-            f"{name:<{width}}  {ref:>14.10g}  {value:>18.12g}  {err:>10.3g}  "
-            f"{'PASS' if ok else 'FAIL'}"
-        )
+        print(f"{name:<{width}}  {ref:>14.10g}  {cells}  {'PASS' if ok else 'FAIL'}")
     print(
         "note: the root gives alpha0 = arcsin(0.8215294) = 0.9640883 rad "
         "= 55\N{DEGREE SIGN}14.3\N{PRIME}; the reference text prints the "
@@ -375,9 +388,11 @@ SUBCOMMANDS = {
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # The subcommand is argv[0] unless a top-level -h or a "--" comes first.
-    command = next((a for a in argv if a in SUBCOMMANDS), None)
-    args = build_parser(command).parse_args(argv)
+    command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
+    parser = build_parser(command)
+    # Intermixed: plain parse_args leaves project's GeoJSON file unassigned
+    # when options stand between it and the subcommand's name.
+    args = parser.parse_intermixed_args(argv) if command else parser.parse_args(argv)
     try:
         _resolve(args)
         return SUBCOMMANDS[args.command][2](args)

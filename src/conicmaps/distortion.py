@@ -10,7 +10,7 @@ and the map is normalized at height z.  Everything here is evaluated in
 log-space: the distortion of an annulus is half the spread of log F over it,
 the optimal angle is the root of log F(rho2, a, rho1) = 0 in a = sin(alpha),
 and the numeric engine below bounds the same quantities for non-conformal
-profiles by sampling both principal stretches.
+profiles from both principal stretches where they can be extreme.
 
 Useful facts, all exercised by the test suite: F(x, y, x) = 1;
 F(z, y, x) = 1/F(x, y, z); F is strictly convex in x with its minimum at
@@ -300,87 +300,51 @@ def _refine_extremum(
     return _golden_section(f, lo, hi, 1e-12, maximize)
 
 
-# How far the grid may exceed the exact candidates' extremes, in log-stretch,
-# before profile_distortion distrusts the profile's critical heights.
-_GRID_GUARD = 1e-13
-
-
-def _critical_candidates(
-    profile: "MeridianProfile", logs: tuple[np.ndarray, np.ndarray]
-) -> list[tuple[float, float]] | None:
-    """(log-stretch, rho) at the profile's in-band critical colatitudes.
-
-    Both directions are evaluated with one ``stretches`` call.  None when
-    the heights are unknown, or when together with the endpoints they fail
-    to bound a direction's grid extremes.
-    """
-    if profile.critical is None:
-        return None
-    crit = [e for e in profile.critical if profile.eps_hi < e < profile.eps_lo]
-    at_crit = [np.log(h) for h in profile.stretches(crit)] if crit else [np.empty(0)] * 2
-    for values, inner in zip(logs, at_crit):
-        cand = np.concatenate(([values[0], values[-1]], inner))
-        # Written so that a NaN candidate also fails the guard.
-        if not (
-            cand.max() >= values.max() - _GRID_GUARD
-            and cand.min() <= values.min() + _GRID_GUARD
-        ):
-            return None
-    rhos = [math.cos(e) for e in crit]
-    return [(float(v), rho) for inner in at_crit for v, rho in zip(inner, rhos)]
-
-
 def profile_distortion(profile: "MeridianProfile", n_grid: int = 4097) -> DistortionReport:
     """Numeric distortion of an arbitrary rotationally symmetric profile.
 
-    Both principal stretches are scanned on a dense endpoint-clustered grid
-    in colatitude: along the meridian h_m = s'(eps), along the parallel
-    h_p = s(eps) sin(alpha) / sin(eps).  The grid's first and last nodes are
-    the boundary colatitudes, so the endpoint values are taken from it as
-    they are.  Inside the band a stretch can only have an extremum at the
-    profile's critical colatitudes, and those in the band are evaluated
-    exactly.  The report takes the overall extremes of the endpoint and
-    critical values over both directions.
+    The principal stretches are h_m = s'(eps) along the meridian and
+    h_p = s(eps) sin(alpha) / sin(eps) along the parallel.  Inside the band
+    a stretch can only have an extremum at the profile's critical
+    colatitudes, so when those are known both stretches are evaluated, with
+    one call, at the two boundary colatitudes and the critical ones in the
+    band only, and the report takes the overall extremes of these values.
 
-    The grid guards the critical heights: if they are unknown, or if with
-    the endpoints they fail to bound a direction's grid maximum and minimum
-    to within 1e-13, each direction's interior grid extremum is instead
+    Only a profile whose critical colatitudes are unknown (``critical`` None)
+    is scanned on a grid of ``n_grid`` endpoint-clustered colatitudes, from
+    boundary to boundary; each direction's interior grid extremum is then
     refined by golden-section search to a window of 1e-12 in colatitude.
-    Deterministic for a fixed grid; value ties resolve toward the smaller
-    height.
+    The tests check the exact extremes against this path.  Value ties
+    resolve toward the smaller height.
     """
     if n_grid < 64:
         raise ValueError("n_grid must be at least 64")
-    eps_hi, eps_lo = profile.eps_hi, profile.eps_lo
-    mid = 0.5 * (eps_hi + eps_lo)
-    half = 0.5 * (eps_lo - eps_hi)
-    j = np.arange(n_grid)
-    eps = mid - half * np.cos(np.pi * j / (n_grid - 1))
-    eps[0], eps[-1] = eps_hi, eps_lo
-
-    h_m, h_p = profile.stretches(eps)
+    exact = profile.critical is not None
+    if exact:
+        eps, h_m, h_p = profile.candidate_stretches()
+    else:
+        mid = 0.5 * (profile.eps_hi + profile.eps_lo)
+        half = 0.5 * (profile.eps_lo - profile.eps_hi)
+        eps = mid - half * np.cos(np.pi * np.arange(n_grid) / (n_grid - 1))
+        eps[0], eps[-1] = profile.eps_hi, profile.eps_lo
+        h_m, h_p = profile.stretches(eps)
     if np.any(h_p <= 0.0):
         raise NonPositiveStretch("profile slant distance vanishes on the annulus")
     if np.any(h_m <= 0.0):
         raise NonPositiveStretch("profile slant derivative vanishes on the annulus")
     logs = (np.log(h_m), np.log(h_p))
 
-    # (value, rho) candidates of each extreme.
-    ends = [
-        (float(values[i]), rho)
-        for values in logs
-        for i, rho in ((0, math.cos(eps_hi)), (-1, math.cos(eps_lo)))
-    ]
-    critical = _critical_candidates(profile, logs)
-    if critical is not None:
-        sups = infs = ends + critical
-    else:
+    # (value, rho) candidates of each extreme: every exact value, or the
+    # grid's two boundary values and its refined interior extremes.
+    nodes = range(len(eps)) if exact else (0, -1)
+    sups = [(float(values[i]), math.cos(eps[i])) for values in logs for i in nodes]
+    infs = list(sups)
+    if not exact:
         sa = profile.cone.sin_alpha
         scalar_fs = (
             lambda e: math.log(float(profile.s_prime(e))),
             lambda e: math.log(float(profile.s(e)) * sa / math.sin(e)),
         )
-        sups, infs = list(ends), list(ends)
         for values, scalar_f in zip(logs, scalar_fs):
             for maximize, found in ((True, sups), (False, infs)):
                 idx = int(np.argmax(values) if maximize else np.argmin(values))

@@ -125,6 +125,18 @@ class MeridianProfile:
         eps = np.asarray(eps, dtype=float)
         return self.s_prime(eps), self.s(eps) * self.sin_alpha / np.sin(eps)
 
+    def candidate_stretches(self) -> tuple[list[float], np.ndarray, np.ndarray]:
+        """Colatitudes [eps_hi, eps_lo, *in-band critical] and both stretches
+        there, from one ``stretches`` call.
+
+        A stretch is extreme on the band only at these colatitudes, so its
+        extremes and its sign there are its extremes and sign on the band.
+        Needs known critical colatitudes (``critical`` not None).
+        """
+        inner = [e for e in self.critical if self.eps_hi < e < self.eps_lo]
+        eps = [self.eps_hi, self.eps_lo, *inner]
+        return (eps, *self.stretches(eps))
+
 
 def _power_profile(kind, cone, eps1, eps2, s1, m, aux) -> MeridianProfile:
     """Radial power map s = s1 * (tan(eps/2) / tan(eps1/2))**m.
@@ -326,7 +338,7 @@ def stretch_at(profile: MeridianProfile, rho: float) -> StretchSample:
 
 
 def compare_all(
-    params: ProjectionParams, n_grid: int = 4097, allow_undefined: bool = False
+    params: ProjectionParams, *, allow_undefined: bool = False
 ) -> list[tuple[str, DistortionReport | None]]:
     """Distortion report for all six kinds, in the fixed comparison order.
 
@@ -338,7 +350,7 @@ def compare_all(
     for kind in COMPARISON_ORDER:
         profile = make_profile(kind, params)
         try:
-            report = profile_distortion(profile, n_grid)
+            report = profile_distortion(profile)
         except NonPositiveStretch:
             if not allow_undefined:
                 raise

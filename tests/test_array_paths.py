@@ -258,6 +258,7 @@ def test_curve_table_rejects_wrong_width_array():
 
 
 COMMANDS = ("optimize", "table", "curves", "project", "reproduce")
+BAND_OPTIONS = {"--rho1", "--rho2", "--lat1", "--lat2", "--degrees"}
 # Each subcommand-specific option with a value it takes, and the subcommands
 # that read it; every subcommand also takes the band options.
 OPTION_OWNERS = {
@@ -342,12 +343,19 @@ class TestCliErrors:
 
     @pytest.mark.parametrize("command", COMMANDS + (None,))
     def test_parser_builds_only_the_invoked_subcommands_options(self, command):
+        def options(p):
+            return {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+
         parser = build_parser(command)
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        assert tuple(sub.choices) == COMMANDS
-        for name, p in sub.choices.items():
-            built = {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
-            assert bool(built) == (name == command), name
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if command is None:
+            assert [tuple(sub.choices) for sub in subs] == [COMMANDS]
+            assert not options(parser)
+            assert not any(options(p) for p in subs[0].choices.values())
+        else:
+            assert not subs
+            own = {option[0] for option, owners in OPTION_OWNERS.items() if command in owners}
+            assert options(parser) == BAND_OPTIONS | own
 
     @pytest.mark.parametrize(
         "vertex", [[None, None], [True, 50], [10, False], ["a", "b"], "12", {"0": 1}, [10]]

@@ -247,6 +247,28 @@ class TestReproduce:
         upper = next(l for l in rows if l.startswith("upper_intersection_height"))
         assert abs(float(upper.split()[2]) - 0.5000001) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "band, undefined",
+        [
+            (("0.4644", "0.9922"), ["upper_intersection_height"]),
+            (("-0.6", "0.998"),
+             ["upper_intersection_height", "distortion delisle-equidistant"]),
+            (("0.3", "0.995"), ["upper_intersection_height"]),
+        ],
+    )
+    def test_band_above_the_lambert_apex_prints_undefined_rows(self, band, undefined):
+        # the band reaches above the apex of its Lambert cone, so the cone's
+        # downward nappe meets the sphere in one circle only; on (-0.6, 0.998)
+        # the delisle-equidistant kind is also no map of the band
+        res = run_cli("reproduce", "--rho1", band[0], "--rho2", band[1])
+        assert res.returncode == 1, res.stderr
+        assert res.stderr == ""
+        rows = [l for l in res.stdout.split("\n") if l.endswith(("PASS", "FAIL"))]
+        assert len(rows) == 14
+        marked = [l for l in rows if "undefined" in l.split()]
+        assert [l.split("  ")[0] for l in marked] == undefined
+        assert all(l.split()[-2:] == ["undefined", "FAIL"] for l in marked)
+
 
 class TestMakeFigures:
     def test_writes_the_cli_artifacts(self, tmp_path):

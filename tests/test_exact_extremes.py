@@ -1,6 +1,6 @@
 """profile_distortion takes its extremes from the endpoints and the closed-form
-critical heights of each profile, and agrees with the golden-section path it
-falls back on."""
+critical heights of each profile, and agrees with the grid and golden-section
+path that it keeps for profiles whose critical heights are unknown."""
 
 import dataclasses
 import math
@@ -8,9 +8,12 @@ import random
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conicmaps import distortion, make_profile, optimal_alpha_by_root, profile_distortion
 from conicmaps.cli import main
+from conicmaps.errors import NonPositiveStretch
 from conicmaps.projections import COMPARISON_ORDER, ProjectionParams
 from conftest import RHO1, RHO2
 
@@ -69,15 +72,78 @@ def test_exact_extremes_bound_the_golden_section_fallback(monkeypatch):
             assert exact.inf_log <= refined.inf_log + 1e-15, (kind, rho1, rho2)
 
 
-def test_missing_interior_extremum_falls_back():
+# How far the grid path's extremes may exceed the exact path's, in
+# log-stretch, before the exact path counts as having missed an extremum.
+GRID_TOLERANCE = 1e-13
+
+
+def exact_and_grid(profile):
+    """The exact path's and the grid path's report of one profile, each
+    replaced by its NonPositiveStretch message when it raises one."""
+
+    def run(p):
+        try:
+            return profile_distortion(p)
+        except NonPositiveStretch as exc:
+            return str(exc)
+
+    return run(profile), run(dataclasses.replace(profile, critical=None))
+
+
+def bounds_the_grid(exact, grid) -> bool:
+    return (
+        exact.sup_log >= grid.sup_log - GRID_TOLERANCE
+        and exact.inf_log <= grid.inf_log + GRID_TOLERANCE
+    )
+
+
+def band_of(rho2, width):
+    rho1 = rho2 - width
+    assume(-1.0 < rho1 < rho2 < 1.0 and rho1 + rho2 > 0.05)
+    return rho1, rho2
+
+
+# rho1 + rho2 stays above 0.05: below about 0.01, lambert_chart overflows
+# (the strict xfails at the end of this file pin that defect).
+BAND_CLASSES = {
+    "canonical": st.just((RHO1, RHO2)),
+    "narrow": st.builds(
+        band_of,
+        st.floats(-0.9, 1.0 - 1e-3),
+        st.floats(-12.0, -4.0).map(lambda u: 10.0**u),
+    ),
+    "near-pole": st.builds(
+        band_of,
+        st.floats(-15.0, -9.0).map(lambda u: 1.0 - 10.0**u),
+        st.floats(-12.0, 0.0).map(lambda u: 10.0**u),
+    ),
+    "wide": st.builds(band_of, st.floats(0.5, 0.999), st.floats(0.5, 1.9)),
+}
+
+
+@pytest.mark.parametrize("band_class", BAND_CLASSES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_exact_extremes_bound_the_grid(band_class, data):
+    """The exact path's extremes bound the grid path's, and both paths find
+    a stretch that is not positive on the same bands."""
+    rho1, rho2 = data.draw(BAND_CLASSES[band_class], label="band")
+    for kind in COMPARISON_ORDER:
+        exact, grid = exact_and_grid(make_profile(kind, ProjectionParams(rho1, rho2)))
+        assert isinstance(exact, str) == isinstance(grid, str), (kind, exact, grid)
+        if not isinstance(exact, str):
+            assert bounds_the_grid(exact, grid), (kind, exact, grid)
+
+
+def test_missing_interior_extremum_fails_the_grid_property():
     profile = make_profile("orthogonal", ProjectionParams(RHO1, RHO2))
-    # The meridian stretch sin(eps + alpha) peaks at the first critical
-    # height, inside the band.
-    assert profile.eps_hi < profile.critical[0] < profile.eps_lo
-    blind = profile_distortion(dataclasses.replace(profile, critical=()))
-    fallback = profile_distortion(dataclasses.replace(profile, critical=None))
-    assert blind == fallback
-    assert abs(blind.sup_log - profile_distortion(profile).sup_log) <= 1e-15
+    # The parallel stretch has its minimum at acos(1/apex), inside the band.
+    assert profile.eps_hi < profile.critical[1] < profile.eps_lo
+    exact, grid = exact_and_grid(profile)
+    assert bounds_the_grid(exact, grid)
+    blind, grid = exact_and_grid(dataclasses.replace(profile, critical=()))
+    assert not bounds_the_grid(blind, grid)
+    assert blind.inf_log > grid.inf_log + GRID_TOLERANCE
 
 
 @pytest.mark.parametrize("kind", COMPARISON_ORDER)
