@@ -7,6 +7,10 @@ whose first argument names a subcommand builds one flat parser with that
 subcommand's options only; any other call builds the top-level parser, which
 lists the subcommands and serves help and usage errors.
 
+``optimize --csv FILE`` implies --scan.  ``table`` and ``reproduce`` print a
+kind that is no map of the band (``compare_all`` gives it no report) as
+undefined; ``table --csv`` leaves it out and ``reproduce`` counts it missed.
+
 Exit codes: 0 success, 1 a reproduction target missed or undefined on the
 band, 2 invalid parameters (including an option the subcommand does not
 take), 3 unreadable/unparseable input file, 4 cannot write output.  All
@@ -248,7 +252,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     print(f"alpha0 = {alpha_root:.10g} rad = {_degree_minutes(alpha_root)}")
     print(f"delta_min = {delta_min:.10g}")
     print(f"root/scan agreement = {abs(alpha_root - alpha_scan):.3g} rad")
-    if args.scan:
+    if args.scan or args.csv:
         write_csv(scan_table(args.rho1, args.rho2, n), args.csv or sys.stdout)
     return 0
 
@@ -256,7 +260,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     """Print a kind that is no map of the band (a stretch vanishes on it) as
     undefined, and leave it out of the CSV, whose kind_index names the rows."""
-    reports = compare_all(ProjectionParams(args.rho1, args.rho2), allow_undefined=True)
+    reports = compare_all(ProjectionParams(args.rho1, args.rho2))
     print(f"{'kind':<22}{'distortion':>14}{'sup_stretch':>14}{'inf_stretch':>14}")
     rows = []
     for i, (kind, rep) in enumerate(reports):
@@ -335,7 +339,7 @@ def _reproduction_rows(rho1: float, rho2: float) -> list[tuple[str, float, float
         ("min_distortion", delta_min),
         ("upper_intersection_height", upper),
     ]
-    for kind, report in compare_all(params, allow_undefined=True):
+    for kind, report in compare_all(params):
         rows.append((f"distortion {kind}", None if report is None else report.delta))
     return [
         (name, REPRODUCTION_TARGETS[name][0], value, REPRODUCTION_TARGETS[name][1])

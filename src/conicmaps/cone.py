@@ -23,14 +23,16 @@ from .errors import (
     TangentIntersection,
     UnsupportedGeometry,
 )
-from .sphere import TAU, PlanarPoint, _check_finite
+from .sphere import (
+    TAU, PlanarPoint, _check_band, _check_finite, _check_open_unit, _parallel_radius
+)
 
 
 def apex_offset(alpha: float, rho: float) -> float:
     """Axial distance from the plane of the parallel at height ``rho`` to the
     apex of a cone with half-apex angle ``alpha`` passing through it:
     sqrt(1 - rho^2) / tan(alpha)."""
-    return math.sqrt(1.0 - rho * rho) / math.tan(alpha)
+    return _parallel_radius(rho) / math.tan(alpha)
 
 
 @dataclass(frozen=True)
@@ -140,8 +142,7 @@ def cone_touching_parallel(alpha: float, rho0: float) -> Cone:
     """
     if not 0.0 < alpha < math.pi / 2.0:
         raise ValueError(f"half-apex angle must lie in (0, pi/2), got {alpha}")
-    if not -1.0 < rho0 < 1.0:
-        raise ValueError(f"rho0 must lie in (-1, 1), got {rho0}")
+    _check_open_unit("rho0", rho0)
     if math.sin(alpha) <= rho0:
         raise ConditionViolation(
             f"sin(alpha) = {math.sin(alpha):.9g} <= rho0 = {rho0}: the parallel "
@@ -158,10 +159,9 @@ def cone_through_parallels(rho1: float, rho2: float) -> Cone:
     downward cone with apex above the sphere only when rho1 + rho2 > 0;
     other height pairs are rejected.
     """
-    if not -1.0 < rho1 < rho2 < 1.0:
-        raise ValueError(f"need -1 < rho1 < rho2 < 1, got ({rho1}, {rho2})")
-    r1 = math.sqrt(1.0 - rho1 * rho1)
-    tana = (rho1 + rho2) / (r1 + math.sqrt(1.0 - rho2 * rho2))
+    _check_band(rho1, rho2)
+    r1 = _parallel_radius(rho1)
+    tana = (rho1 + rho2) / (r1 + _parallel_radius(rho2))
     if tana <= 0.0:
         raise UnsupportedGeometry(
             "parallels of equal or inverted radii (rho1 + rho2 <= 0) give a "

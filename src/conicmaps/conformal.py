@@ -36,6 +36,8 @@ from .sphere import (
     TAU,
     PlanarPoint,
     SphericalPoint,
+    _check_open_unit,
+    _parallel_radius,
     stereographic_project,
     stereographic_unproject,
 )
@@ -70,7 +72,7 @@ def lambert_chart(alpha: float, rho0: float) -> LambertChart:
     """Build the chart for half-apex angle ``alpha`` normalized at ``rho0``."""
     cone = cone_touching_parallel(alpha, rho0)
     sa = math.sin(alpha)
-    r_norm = (math.sqrt(1.0 - rho0 * rho0) / sa) ** (1.0 / sa)
+    r_norm = (_parallel_radius(rho0) / sa) ** (1.0 / sa)
     return LambertChart(alpha, rho0, r_norm, cone)
 
 
@@ -153,10 +155,8 @@ def lipschitz_constant(rho: float, alpha: float, rho0: float) -> float:
     underflow.  L(rho0) = 1.  The boundary angle alpha = pi/2 is admitted as
     a limit.
     """
-    if not -1.0 < rho < 1.0:
-        raise ValueError(f"rho must lie in (-1, 1), got {rho}")
-    if not -1.0 < rho0 < 1.0:
-        raise ValueError(f"rho0 must lie in (-1, 1), got {rho0}")
+    _check_open_unit("rho", rho)
+    _check_open_unit("rho0", rho0)
     if not 0.0 < alpha <= math.pi / 2.0:
         raise ValueError(f"alpha must lie in (0, pi/2], got {alpha}")
     sa = math.sin(alpha)

@@ -28,6 +28,7 @@ import numpy as np
 
 from .conformal import lipschitz_constant
 from .errors import NonPositiveStretch
+from .sphere import _check_band, _check_open_unit
 
 if TYPE_CHECKING:  # pragma: no cover
     from .projections import MeridianProfile
@@ -75,11 +76,6 @@ class DistortionReport:
             raise ValueError("distortion cannot be negative")
 
 
-def _check_open_unit(name: str, v: float) -> None:
-    if not -1.0 < v < 1.0:
-        raise ValueError(f"{name} must lie in (-1, 1), got {v}")
-
-
 def log_squared_stretch(x: float, y: float, z: float) -> float:
     """log F(x, y, z); exact cancellation at x == z."""
     _check_open_unit("x", x)
@@ -100,11 +96,8 @@ def _log_terms(rho1: float, rho2: float, rho0: float) -> tuple[float, ...]:
 
     Returns lp0, lm0 = log1p(rho0), log1p(-rho0) and, for each edge,
     p_i = lp0 - log1p(rho_i) and m_i = lm0 - log1p(-rho_i), so that
-    log F(rho_i, a, rho0) = (1 + a) p_i + (1 - a) m_i.
+    log F(rho_i, a, rho0) = (1 + a) p_i + (1 - a) m_i.  Callers check the heights.
     """
-    _check_open_unit("x", rho1)
-    _check_open_unit("x", rho2)
-    _check_open_unit("z", rho0)
     lp0, lm0 = math.log1p(rho0), math.log1p(-rho0)
     p1, m1 = lp0 - math.log1p(rho1), lm0 - math.log1p(-rho1)
     p2, m2 = lp0 - math.log1p(rho2), lm0 - math.log1p(-rho2)
@@ -124,8 +117,7 @@ def _distortion_in_a(rho1: float, rho2: float, rho0: float) -> Callable[[float],
     lp0, lm0, p1, m1, p2, m2 = _log_terms(rho1, rho2, rho0)
 
     def delta(a: float) -> float:
-        if not -1.0 < a < 1.0:
-            raise ValueError(f"y must lie in (-1, 1), got {a}")
+        _check_open_unit("y", a)
         f1 = (1.0 + a) * p1 + (1.0 - a) * m1
         f2 = (1.0 + a) * p2 + (1.0 - a) * m2
         if rho1 <= a <= rho2:
@@ -147,8 +139,7 @@ def annulus_distortion(rho1: float, rho2: float, alpha: float, rho0: float) -> f
     :func:`annulus_distortions`, made on Python floats, and the value is the
     scan solver's closure at sin(alpha).
     """
-    if not -1.0 < rho1 < rho2 < 1.0:
-        raise ValueError(f"need -1 < rho1 < rho2 < 1, got ({rho1}, {rho2})")
+    _check_band(rho1, rho2)
     alpha = float(alpha)
     if not 0.0 < alpha < math.pi / 2.0:
         raise ValueError(f"alpha must lie in (0, pi/2), got {alpha}")
@@ -167,8 +158,7 @@ def annulus_distortions(rho1: float, rho2: float, alphas, rho0: float) -> np.nda
     samples inside [rho1, rho2], where the infimum is F at a itself, stays in
     ``math``.
     """
-    if not -1.0 < rho1 < rho2 < 1.0:
-        raise ValueError(f"need -1 < rho1 < rho2 < 1, got ({rho1}, {rho2})")
+    _check_band(rho1, rho2)
     alphas = np.asarray(alphas, dtype=float).ravel()
     bad = ~((alphas > 0.0) & (alphas < math.pi / 2.0))
     if bad.any():
@@ -200,8 +190,7 @@ def optimal_alpha_by_root(rho1: float, rho2: float) -> float:
     loses no digits to cancellation, and bisection runs until the bracket
     holds two adjacent doubles.  The root always satisfies rho1 < a0 < rho2.
     """
-    if not -1.0 < rho1 < rho2 < 1.0:
-        raise ValueError(f"need -1 < rho1 < rho2 < 1, got ({rho1}, {rho2})")
+    _check_band(rho1, rho2)
     width = rho2 - rho1
     p = -math.log1p(width / (1.0 + rho1))
     m = math.log1p(width / (1.0 - rho2))
@@ -253,8 +242,7 @@ def optimal_alpha_by_scan(rho1: float, rho2: float) -> float:
     it, so the search is safe.  Agrees with :func:`optimal_alpha_by_root` to
     well below 1e-9; the two are kept as genuinely independent code paths.
     """
-    if not -1.0 < rho1 < rho2 < 1.0:
-        raise ValueError(f"need -1 < rho1 < rho2 < 1, got ({rho1}, {rho2})")
+    _check_band(rho1, rho2)
 
     delta = _distortion_in_a(rho1, rho2, rho1)
     a_best, _ = _golden_section(delta, -1.0 + 1e-9, 1.0 - 1e-9, 1e-12, maximize=False)
@@ -270,8 +258,7 @@ def bilipschitz_curve(rho1: float, rho2: float, n: int) -> list[StretchSample]:
     """
     if n < 2:
         raise ValueError("need at least two samples")
-    if not -1.0 < rho1 < rho2 < 1.0:
-        raise ValueError(f"need -1 < rho1 < rho2 < 1, got ({rho1}, {rho2})")
+    _check_band(rho1, rho2)
     alpha0 = optimal_alpha_by_root(rho1, rho2)
     mid = 0.5 * (rho1 + rho2)
     half = 0.5 * (rho2 - rho1)

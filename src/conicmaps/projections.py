@@ -43,6 +43,7 @@ from .distortion import (
 )
 from .errors import InvalidKind, NonPositiveStretch, OnCutMeridian, OutOfAnnulus
 from .sphere import TAU, PlanarPoint, SphericalAnnulus, SphericalPoint, annulus_modulus
+from .sphere import _check_band, _parallel_radius
 
 KIND_LAMBERT = "lambert"
 KIND_CENTRAL = "central"
@@ -77,10 +78,7 @@ class ProjectionParams:
     alpha_override: float | None = None
 
     def __post_init__(self):
-        if not -1.0 < self.rho1 < self.rho2 < 1.0:
-            raise ValueError(
-                f"need -1 < rho1 < rho2 < 1, got ({self.rho1}, {self.rho2})"
-            )
+        _check_band(self.rho1, self.rho2)
 
 
 @dataclass(frozen=True)
@@ -223,7 +221,7 @@ def make_profile(kind: str, params: ProjectionParams) -> MeridianProfile:
         )
         cone = lambert_chart(alpha0, rho1).cone
         a0 = math.sin(alpha0)
-        s1 = math.sqrt(1.0 - rho1 * rho1) / a0
+        s1 = _parallel_radius(rho1) / a0
         return _power_profile(kind, cone, eps1, eps2, s1, a0, {"sin_alpha0": a0})
 
     if params.alpha_override is not None:
@@ -235,8 +233,8 @@ def make_profile(kind: str, params: ProjectionParams) -> MeridianProfile:
     cone = cone_through_parallels(rho1, rho2)
     alpha, sa, ca = cone.alpha, cone.sin_alpha, cone.cos_alpha
     apex = cone.apex_z
-    r1 = math.sqrt(1.0 - rho1 * rho1)
-    r2 = math.sqrt(1.0 - rho2 * rho2)
+    r1 = _parallel_radius(rho1)
+    r2 = _parallel_radius(rho2)
     s1 = r1 / sa
     s2 = r2 / sa
     # Both stretches of the central map, and the meridian stretch
@@ -337,23 +335,16 @@ def stretch_at(profile: MeridianProfile, rho: float) -> StretchSample:
     return StretchSample(rho, h_m, h_p, sigma)
 
 
-def compare_all(
-    params: ProjectionParams, *, allow_undefined: bool = False
-) -> list[tuple[str, DistortionReport | None]]:
-    """Distortion report for all six kinds, in the fixed comparison order.
-
-    A kind whose stretch is not positive on the band is no map of it and
-    raises :class:`NonPositiveStretch`; with ``allow_undefined`` its report
-    is None instead.
-    """
+def compare_all(params: ProjectionParams) -> list[tuple[str, DistortionReport | None]]:
+    """(kind, distortion report) of all six kinds, in the fixed comparison
+    order.  A kind whose stretch is not positive on the band is no map of it,
+    and its report is None: delisle-equidistant on (-0.6, 0.998), say."""
     rows = []
     for kind in COMPARISON_ORDER:
         profile = make_profile(kind, params)
         try:
             report = profile_distortion(profile)
         except NonPositiveStretch:
-            if not allow_undefined:
-                raise
             report = None
         rows.append((kind, report))
     return rows

@@ -26,6 +26,22 @@ def _check_finite(*values: float) -> None:
             raise ValueError(f"non-finite coordinate: {v!r}")
 
 
+def _check_open_unit(name: str, v: float) -> None:
+    if not -1.0 < v < 1.0:
+        raise ValueError(f"{name} must lie in (-1, 1), got {v}")
+
+
+def _check_band(rho1: float, rho2: float) -> None:
+    """Reject heights that bound no band of the open chart."""
+    if not -1.0 < rho1 < rho2 < 1.0:
+        raise ValueError(f"need -1 < rho1 < rho2 < 1, got ({rho1}, {rho2})")
+
+
+def _parallel_radius(rho: float) -> float:
+    """Radius sqrt(1 - rho^2) of the parallel at height ``rho``."""
+    return math.sqrt(1.0 - rho * rho)
+
+
 @dataclass(frozen=True)
 class SphericalPoint:
     """Point on the unit sphere with longitude ``theta`` and height ``rho``."""
@@ -35,13 +51,12 @@ class SphericalPoint:
 
     def __post_init__(self):
         _check_finite(self.theta, self.rho)
-        if not -1.0 < self.rho < 1.0:
-            raise ValueError(f"rho must lie in (-1, 1), got {self.rho}")
+        _check_open_unit("rho", self.rho)
         object.__setattr__(self, "theta", self.theta % TAU)
 
     @property
     def xyz(self) -> tuple[float, float, float]:
-        r = math.sqrt(1.0 - self.rho * self.rho)
+        r = _parallel_radius(self.rho)
         return (r * math.cos(self.theta), r * math.sin(self.theta), self.rho)
 
     @property
@@ -70,10 +85,7 @@ class SphericalAnnulus:
 
     def __post_init__(self):
         _check_finite(self.rho1, self.rho2)
-        if not -1.0 < self.rho1 < self.rho2 < 1.0:
-            raise ValueError(
-                f"annulus needs -1 < rho1 < rho2 < 1, got ({self.rho1}, {self.rho2})"
-            )
+        _check_band(self.rho1, self.rho2)
 
 
 @dataclass(frozen=True)

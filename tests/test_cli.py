@@ -71,6 +71,14 @@ class TestOptimize:
         best = min(rows, key=lambda r: r[1])
         assert abs(best[0] - A0) <= 1.0 / 202
 
+    def test_csv_implies_scan(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        res = run_cli("optimize", "--csv", str(out), "--samples", "5")
+        assert res.returncode == 0
+        assert "sin_alpha" not in res.stdout
+        scanned = run_cli("optimize", "--scan", "--samples", "5")
+        assert out.read_text() == scanned.stdout[scanned.stdout.index("sin_alpha"):]
+
 
 class TestTable:
     def test_six_rows_and_values(self):
