@@ -22,6 +22,8 @@ import os
 import tempfile
 from pathlib import Path
 
+from conicmaps.cli import main
+
 DATA = Path(__file__).resolve().parent / "data"
 CORPUS = DATA / "corpus.json"
 MANIFEST = DATA / "corpus_manifest.json"
@@ -44,8 +46,6 @@ def load_manifest() -> list:
 
 def run_entry(argv: list, inputs_dir: Path, out_dir: Path) -> dict:
     """The manifest entry of one argv; ``out_dir`` must be empty."""
-    from conicmaps.cli import main
-
     places = {"{data}": str(DATA), "{in}": str(inputs_dir), "{out}": str(out_dir)}
     actual = []
     for arg in argv:
