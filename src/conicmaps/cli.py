@@ -185,6 +185,10 @@ def _resolve(args: argparse.Namespace) -> None:
             f"invalid band: need -1 < rho1 < rho2 < 1, got rho1={rho1:.6g}, "
             f"rho2={rho2:.6g}"
         )
+    limit = 90.0 if args.degrees else math.pi / 2.0
+    for name, lat in (("lat1", args.lat1), ("lat2", args.lat2)):
+        if lat is not None and not abs(lat) < limit:
+            raise ValueError(f"invalid latitude: need |{name}| < {limit:g}, got {name}={lat:g}")
     args.rho1, args.rho2 = rho1, rho2
 
 

@@ -15,7 +15,6 @@ and spherical longitude ``theta`` develops to the sector point
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
     ConditionViolation,
@@ -24,7 +23,7 @@ from .errors import (
     UnsupportedGeometry,
 )
 from .sphere import (
-    TAU, PlanarPoint, _check_band, _check_finite, _check_open_unit, _parallel_radius
+    TAU, PlanarPoint, _check_band, _check_finite, _check_open_unit, _parallel_radius, _Record
 )
 
 
@@ -35,8 +34,7 @@ def apex_offset(alpha: float, rho: float) -> float:
     return _parallel_radius(rho) / math.tan(alpha)
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(_Record):
     """Downward cone with apex (0, 0, apex_z) and half-apex angle alpha."""
 
     alpha: float
@@ -69,8 +67,7 @@ class Cone:
         return ConePoint(self, slant, theta)
 
 
-@dataclass(frozen=True)
-class ConePoint:
+class ConePoint(_Record):
     """Surface point given by slant distance from the apex and longitude."""
 
     cone: Cone
@@ -93,8 +90,7 @@ class ConePoint:
         )
 
 
-@dataclass(frozen=True)
-class ConicalAnnulus:
+class ConicalAnnulus(_Record):
     """Annulus on a cone bounded by the circles at two slant distances."""
 
     cone: Cone

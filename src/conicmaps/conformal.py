@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .cone import Cone, ConePoint, cone_touching_parallel
 from .sphere import (
@@ -38,13 +37,13 @@ from .sphere import (
     SphericalPoint,
     _check_open_unit,
     _parallel_radius,
+    _Record,
     stereographic_project,
     stereographic_unproject,
 )
 
 
-@dataclass(frozen=True)
-class LambertChart:
+class LambertChart(_Record):
     """Normalization data of the conformal sphere-to-cone map.
 
     ``rho0`` is the height of the parallel fixed by the map; ``r_norm`` is the

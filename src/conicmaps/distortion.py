@@ -21,14 +21,13 @@ F(x, x, z) increases on (-1, z) and decreases on (z, 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .conformal import lipschitz_constant
 from .errors import NonPositiveStretch
-from .sphere import _check_band, _check_open_unit
+from .sphere import _check_band, _check_open_unit, _Record
 
 if TYPE_CHECKING:  # pragma: no cover
     from .projections import MeridianProfile
@@ -36,8 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class StretchSample:
+class StretchSample(_Record):
     """Principal stretches of a profile at one height.
 
     ``sigma`` is the infinitesimal bi-Lipschitz constant
@@ -57,8 +55,7 @@ class StretchSample:
             raise ValueError("bi-Lipschitz constant cannot be below 1")
 
 
-@dataclass(frozen=True)
-class DistortionReport:
+class DistortionReport(_Record):
     """Extremes of the log-stretch over an annulus, both directions included.
 
     ``delta = sup_log - inf_log`` is the distortion; ``arg_sup``/``arg_inf``

@@ -15,9 +15,7 @@ The numbers of the CSV and SVG text come from the array decimal writer of
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 from itertools import chain, groupby
 
 import numpy as np
@@ -25,7 +23,7 @@ import numpy as np
 from .decimals import decimal_chunks
 from .errors import ParseError, ValidationError
 from .projections import DEFAULT_CUT_LONGITUDE, MeridianProfile
-from .sphere import SphericalAnnulus
+from .sphere import SphericalAnnulus, _Record
 
 # Densification ceiling for generated polylines, in degrees of arc.
 _MAX_VERTEX_SPACING_DEG = 0.25
@@ -35,8 +33,7 @@ _MAX_VERTEX_SPACING_DEG = 0.25
 _JSON_NUMBERS = (int, float)
 
 
-@dataclass(frozen=True, eq=False)
-class GeoPolyline:
+class GeoPolyline(_Record, eq=False):
     """Named sequence of (longitude, latitude) vertices, in degrees.
 
     ``points`` is a sequence of pairs, stored as a tuple of float tuples, or
@@ -79,8 +76,7 @@ class GeoPolyline:
         object.__setattr__(self, "points", pts)
 
 
-@dataclass
-class ParsedLines:
+class ParsedLines(_Record):
     """Polylines extracted from a GeoJSON document plus a count of ignored
     non-line geometries."""
 
@@ -88,8 +84,7 @@ class ParsedLines:
     ignored: int
 
 
-@dataclass(frozen=True, eq=False)
-class CurveTable:
+class CurveTable(_Record, eq=False):
     """Rectangular numeric table with named columns.
 
     ``values`` may be any sequence of rows or a 2-D array; it is stored as a
@@ -122,8 +117,7 @@ class CurveTable:
         return tuple(map(tuple, self.values.tolist()))
 
 
-@dataclass(frozen=True)
-class SvgStyle:
+class SvgStyle(_Record):
     stroke: str = "black"
     stroke_width: float = 0.002
 
@@ -141,6 +135,7 @@ def parse_geojson_lines(document: str) -> ParsedLines:
     type is skipped and counted in ``ignored``.  Coordinate order is
     (longitude, latitude); extra vertex dimensions are dropped.
     """
+    import json  # only GeoJSON input needs it
     try:
         obj = json.loads(document)
     except json.JSONDecodeError as exc:
@@ -248,8 +243,7 @@ def graticule(
     ] + [GeoPolyline(f"parallel {lat:g}", pts) for lat, pts in zip(parallel_lats, parallels)]
 
 
-@dataclass
-class ProjectedPaths:
+class ProjectedPaths(_Record):
     """Planar polylines ready for drawing, plus the count of input polylines
     clipped away entirely."""
 

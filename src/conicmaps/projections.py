@@ -43,7 +43,7 @@ from .distortion import (
 )
 from .errors import InvalidKind, NonPositiveStretch, OnCutMeridian, OutOfAnnulus
 from .sphere import TAU, PlanarPoint, SphericalAnnulus, SphericalPoint, annulus_modulus
-from .sphere import _check_band, _parallel_radius
+from .sphere import _check_band, _parallel_radius, _Record
 
 KIND_LAMBERT = "lambert"
 KIND_CENTRAL = "central"
@@ -65,8 +65,7 @@ COMPARISON_ORDER = (
 DEFAULT_CUT_LONGITUDE = math.pi
 
 
-@dataclass(frozen=True)
-class ProjectionParams:
+class ProjectionParams(_Record):
     """Annulus heights plus an optional explicit half-apex angle.
 
     The override only applies to the Lambert kind; for the other five the
@@ -81,7 +80,7 @@ class ProjectionParams:
         _check_band(self.rho1, self.rho2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a _Record: callers copy it with dataclasses.replace
 class MeridianProfile:
     """A projection encoded as slant distance against colatitude.
 

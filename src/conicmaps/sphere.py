@@ -15,9 +15,52 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 TAU = 2.0 * math.pi
+
+
+class _Record:
+    """Immutable record (``AttributeError`` on assignment): a subclass's annotated
+    names are its fields, in order, class attributes their defaults.  Built by
+    position or keyword, then ``__post_init__``; equal by value unless ``eq=False``."""
+
+    def __init_subclass__(cls, eq: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if (n := len(args)) != len(fields) or kwargs:
+            values = {**self._defaults, **kwargs, **dict(zip(fields, args))}
+            if n > len(fields) or kwargs.keys() & fields[:n] or values.keys() != set(fields):
+                raise TypeError(f"{type(self).__name__} takes the fields {fields}, got "
+                                f"{n} positional and the keywords {sorted(kwargs)}")
+            args = [values[f] for f in fields]
+        self.__dict__.update(zip(fields, args))
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={v!r}" for f, v in self.__dict__.items())
+        return f"{type(self).__qualname__}({body})"
 
 
 def _check_finite(*values: float) -> None:
@@ -42,8 +85,7 @@ def _parallel_radius(rho: float) -> float:
     return math.sqrt(1.0 - rho * rho)
 
 
-@dataclass(frozen=True)
-class SphericalPoint:
+class SphericalPoint(_Record):
     """Point on the unit sphere with longitude ``theta`` and height ``rho``."""
 
     theta: float
@@ -76,8 +118,7 @@ class SphericalPoint:
         return cls(math.atan2(y, x) % TAU, z / norm)
 
 
-@dataclass(frozen=True)
-class SphericalAnnulus:
+class SphericalAnnulus(_Record):
     """Open band of the sphere between the parallels at heights rho1 < rho2."""
 
     rho1: float
@@ -88,8 +129,7 @@ class SphericalAnnulus:
         _check_band(self.rho1, self.rho2)
 
 
-@dataclass(frozen=True)
-class PlanarPoint:
+class PlanarPoint(_Record):
     """Point of one of the auxiliary planes."""
 
     re: float

@@ -325,3 +325,28 @@ class TestProjectOnAWideBand:
         res = run_cli("project", "--kind", kind, *self.BAND)
         assert res.returncode == 0, res.stderr
         assert res.stdout.startswith("<?xml") and res.stdout.endswith("</svg>\n")
+
+
+class TestLatitudeDomain:
+    """A latitude at or beyond a pole is rejected, not folded back by its
+    sine into another band; the band check still speaks first."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("table", "--lat1", "20", "--lat2", "120", "--degrees"),
+             "error: invalid latitude: need |lat2| < 90, got lat2=120\n"),
+            (("optimize", "--lat1", "0.5", "--lat2", "2.0"),
+             "error: invalid latitude: need |lat2| < 1.5708, got lat2=2\n"),
+            (("curves", "--lat1", "-95", "--lat2", "10", "--degrees"),
+             "error: invalid latitude: need |lat1| < 90, got lat1=-95\n"),
+        ],
+    )
+    def test_latitude_beyond_a_pole_exits_2(self, argv, message):
+        res = run_cli(*argv)
+        assert (res.returncode, res.stdout, res.stderr) == (2, "", message)
+
+    def test_an_inverted_band_keeps_the_band_message(self):
+        res = run_cli("project", "--lat1", "100", "--lat2", "120", "--degrees")
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: invalid band: need -1 < rho1 < rho2 < 1")
