@@ -7,9 +7,10 @@ whose first argument names a subcommand builds one flat parser with that
 subcommand's options only; any other call builds the top-level parser, which
 lists the subcommands and serves help and usage errors.
 
-``optimize --csv FILE`` implies --scan.  ``table`` and ``reproduce`` print a
-kind that is no map of the band (``compare_all`` gives it no report) as
-undefined; ``table --csv`` leaves it out and ``reproduce`` counts it missed.
+``optimize --csv FILE`` implies --scan.  A kind is no map of the band when a
+stretch is not positive somewhere on it: ``table`` and ``reproduce`` print it
+(``compare_all`` gives it no report) as undefined, ``table --csv`` leaves it
+out, ``reproduce`` counts it missed, and ``curves`` and ``project`` exit 2.
 
 Exit codes: 0 success, 1 a reproduction target missed or undefined on the
 band, 2 invalid parameters (including an option the subcommand does not
@@ -27,26 +28,27 @@ import numpy as np
 
 from . import projections
 from .distortion import (
+    _require_positive,
     annulus_distortion,
     annulus_distortions,
     optimal_alpha_by_root,
     optimal_alpha_by_scan,
 )
-from .cone import second_intersection_height
-from .errors import NoIntersection, NonPositiveStretch, ParseError, ValidationError
-
-# render_svg and stretch_at are not called here, but benchmarks/tracing.py
-# wraps them in this namespace, so they stay imported.
-from .geodata import (  # noqa: F401
+from .cone import cone_touching_parallel, second_intersection_height
+from .errors import NoIntersection, ParseError, ValidationError
+from .geodata import (
     CurveTable,
     SvgStyle,
+    _write_text,
     graticule,
     parse_geojson_lines,
     project_polylines,
     render_svg,
     write_csv,
-    write_svg,
 )
+
+# stretch_at is not called here, but benchmarks/tracing.py wraps it in this
+# namespace, so it stays imported.
 from .projections import ProjectionParams, compare_all, make_profile, stretch_at  # noqa: F401
 from .sphere import SphericalAnnulus
 
@@ -205,12 +207,6 @@ def scan_table(rho1: float, rho2: float, n: int = 2001) -> CurveTable:
     return CurveTable(("sin_alpha", "distortion"), np.column_stack((a, delta)))
 
 
-def _require_positive(h_m: np.ndarray, h_p: np.ndarray) -> None:
-    """A kind whose stretch vanishes somewhere on the band is no map of it."""
-    if np.any(h_m <= 0.0) or np.any(h_p <= 0.0):
-        raise NonPositiveStretch("stretches must be positive")
-
-
 def sigma_table(rho1: float, rho2: float, n: int = 1001) -> CurveTable:
     """Bi-Lipschitz constant of the six kinds at n evenly spaced heights."""
     params = ProjectionParams(rho1, rho2)
@@ -262,7 +258,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    """Print a kind that is no map of the band (a stretch vanishes on it) as
+    """Print a kind that is no map of the band (a stretch is not positive) as
     undefined, and leave it out of the CSV, whose kind_index names the rows."""
     reports = compare_all(ProjectionParams(args.rho1, args.rho2))
     print(f"{'kind':<22}{'distortion':>14}{'sup_stretch':>14}{'inf_stretch':>14}")
@@ -310,12 +306,8 @@ def cmd_project(args: argparse.Namespace) -> int:
             raise ParseError(f"cannot read {args.geojson}: {exc}") from exc
         coast = project_polylines(profile, parsed.lines, cut)
         overlays.append((SvgStyle(stroke="black", stroke_width=0.003), coast.paths))
-    write_svg(
-        grat.paths,
-        SvgStyle(stroke="#999999", stroke_width=0.0015),
-        args.out or sys.stdout,
-        overlays,
-    )
+    groups = [(SvgStyle(stroke="#999999", stroke_width=0.0015), grat.paths), *overlays]
+    _write_text([render_svg(groups)], args.out or sys.stdout, "SVG")
     return 0
 
 
@@ -327,7 +319,7 @@ def _reproduction_rows(rho1: float, rho2: float) -> list[tuple[str, float, float
     alpha_root = optimal_alpha_by_root(rho1, rho2)
     alpha_scan = optimal_alpha_by_scan(rho1, rho2)
     delta_min = annulus_distortion(rho1, rho2, alpha_root, rho1)
-    lambert_cone = make_profile(projections.KIND_LAMBERT, params).cone
+    lambert_cone = cone_touching_parallel(alpha_root, rho1)
     try:
         upper = second_intersection_height(lambert_cone, rho1)
     except NoIntersection:  # the band reaches above the Lambert cone's apex

@@ -35,6 +35,13 @@ if TYPE_CHECKING:  # pragma: no cover
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def _require_positive(h_m, h_p) -> None:
+    """A kind whose stretch (float or array) is not positive somewhere on the
+    band is no map of it."""
+    if np.any(h_m <= 0.0) or np.any(h_p <= 0.0):
+        raise NonPositiveStretch("stretches must be positive")
+
+
 class StretchSample(_Record):
     """Principal stretches of a profile at one height.
 
@@ -49,8 +56,7 @@ class StretchSample(_Record):
     sigma: float
 
     def __post_init__(self):
-        if self.h_meridian <= 0.0 or self.h_parallel <= 0.0:
-            raise ValueError("stretches must be positive")
+        _require_positive(self.h_meridian, self.h_parallel)
         if self.sigma < 1.0 - 1e-12:
             raise ValueError("bi-Lipschitz constant cannot be below 1")
 
@@ -102,19 +108,20 @@ def _log_terms(rho1: float, rho2: float, rho0: float) -> tuple[float, ...]:
 
 
 def _distortion_in_a(rho1: float, rho2: float, rho0: float) -> Callable[[float], float]:
-    """Distortion as a function of a = sin(alpha), valid on all of (-1, 1).
+    """Distortion as a function of a = sin(alpha), valid on all of [-1, 1].
 
     F is convex in its first argument with minimum at x = a, so the supremum
     of F over [rho1, rho2] sits at an endpoint and the infimum at a when that
     is interior, else at the nearer endpoint; the distortion is half the
     spread of log F because L = sqrt(F).  The returned function evaluates
     log F exactly as :func:`log_squared_stretch` does, with the log1p terms
-    that do not depend on a taken once, by :func:`_log_terms`.
+    that do not depend on a taken once, by :func:`_log_terms`.  Callers
+    check a; a = 1, sin(alpha) rounded within about 1e-8 of pi/2, takes the
+    infimum at rho2 and needs no log1p(-a).
     """
     lp0, lm0, p1, m1, p2, m2 = _log_terms(rho1, rho2, rho0)
 
     def delta(a: float) -> float:
-        _check_open_unit("y", a)
         f1 = (1.0 + a) * p1 + (1.0 - a) * m1
         f2 = (1.0 + a) * p2 + (1.0 - a) * m2
         if rho1 <= a <= rho2:
@@ -163,8 +170,6 @@ def annulus_distortions(rho1: float, rho2: float, alphas, rho0: float) -> np.nda
     _check_open_unit("rho0", rho0)
     lp0, lm0, p1, m1, p2, m2 = _log_terms(rho1, rho2, rho0)
     a = np.sin(alphas)
-    if (a == 1.0).any():  # sin rounds to 1 within about 1e-8 of pi/2
-        raise ValueError("y must lie in (-1, 1), got 1.0")
     f1 = (1.0 + a) * p1 + (1.0 - a) * m1
     f2 = (1.0 + a) * p2 + (1.0 - a) * m2
     inf = np.where(a < rho1, f1, f2)
@@ -270,20 +275,6 @@ def bilipschitz_curve(rho1: float, rho2: float, n: int) -> list[StretchSample]:
     return samples
 
 
-def _refine_extremum(
-    f: Callable[[float], float],
-    grid: np.ndarray,
-    values: np.ndarray,
-    idx: int,
-    maximize: bool,
-) -> tuple[float, float]:
-    """Golden-section search between the neighbours of interior grid node idx."""
-    lo, hi = float(grid[idx - 1]), float(grid[idx + 1])
-    if hi - lo <= 1e-12:
-        return float(grid[idx]), float(values[idx])
-    return _golden_section(f, lo, hi, 1e-12, maximize)
-
-
 def profile_distortion(profile: "MeridianProfile", n_grid: int = 4097) -> DistortionReport:
     """Numeric distortion of an arbitrary rotationally symmetric profile.
 
@@ -312,10 +303,7 @@ def profile_distortion(profile: "MeridianProfile", n_grid: int = 4097) -> Distor
         eps = mid - half * np.cos(np.pi * np.arange(n_grid) / (n_grid - 1))
         eps[0], eps[-1] = profile.eps_hi, profile.eps_lo
         h_m, h_p = profile.stretches(eps)
-    if np.any(h_p <= 0.0):
-        raise NonPositiveStretch("profile slant distance vanishes on the annulus")
-    if np.any(h_m <= 0.0):
-        raise NonPositiveStretch("profile slant derivative vanishes on the annulus")
+    _require_positive(h_m, h_p)
     logs = (np.log(h_m), np.log(h_p))
 
     # (value, rho) candidates of each extreme: every exact value, or the
@@ -324,16 +312,16 @@ def profile_distortion(profile: "MeridianProfile", n_grid: int = 4097) -> Distor
     sups = [(float(values[i]), math.cos(eps[i])) for values in logs for i in nodes]
     infs = list(sups)
     if not exact:
-        sa = profile.cone.sin_alpha
-        scalar_fs = (
-            lambda e: math.log(float(profile.s_prime(e))),
-            lambda e: math.log(float(profile.s(e)) * sa / math.sin(e)),
-        )
-        for values, scalar_f in zip(logs, scalar_fs):
+        for j, values in enumerate(logs):
+
+            def log_h(e: float, j: int = j) -> float:
+                return math.log(float(profile.stretches(e)[j]))
+
             for maximize, found in ((True, sups), (False, infs)):
                 idx = int(np.argmax(values) if maximize else np.argmin(values))
                 if 0 < idx < n_grid - 1:
-                    e_star, v_star = _refine_extremum(scalar_f, eps, values, idx, maximize)
+                    lo, hi = float(eps[idx - 1]), float(eps[idx + 1])
+                    e_star, v_star = _golden_section(log_h, lo, hi, 1e-12, maximize)
                     found.append((v_star, math.cos(e_star)))
 
     # Value ties resolve toward the smaller height.

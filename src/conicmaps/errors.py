@@ -33,7 +33,7 @@ class OnCutMeridian(GeometryError):
 
 
 class NonPositiveStretch(GeometryError):
-    """A projection profile degenerates (slant or its derivative <= 0)."""
+    """A principal stretch of a projection profile is not positive."""
 
 
 class InvalidKind(ValueError):

@@ -336,8 +336,9 @@ def stretch_at(profile: MeridianProfile, rho: float) -> StretchSample:
 
 def compare_all(params: ProjectionParams) -> list[tuple[str, DistortionReport | None]]:
     """(kind, distortion report) of all six kinds, in the fixed comparison
-    order.  A kind whose stretch is not positive on the band is no map of it,
-    and its report is None: delisle-equidistant on (-0.6, 0.998), say."""
+    order.  A kind whose stretch is not positive somewhere on the band is no
+    map of it: ``profile_distortion`` raises NonPositiveStretch and the report
+    is None, as for delisle-equidistant on (-0.6, 0.998)."""
     rows = []
     for kind in COMPARISON_ORDER:
         profile = make_profile(kind, params)

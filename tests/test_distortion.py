@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conicmaps import (
+    StretchSample,
     annulus_distortion,
     bilipschitz_curve,
     lipschitz_constant,
@@ -235,6 +236,29 @@ class TestProfileDistortion:
         )
         with pytest.raises(NonPositiveStretch):
             profile_distortion(bad)
+
+    @pytest.mark.parametrize("critical", [None, ()], ids=["grid", "exact"])
+    @pytest.mark.parametrize("negative", ["slant derivative", "slant"])
+    def test_non_positive_stretch_has_one_message(self, critical, negative):
+        cone = cone_through_parallels(RHO1, RHO2)
+        eps1, eps2 = math.acos(RHO1), math.acos(RHO2)
+        sign = -1.0 if negative == "slant" else 1.0
+        bad = MeridianProfile(
+            "central",
+            cone,
+            eps1,
+            eps2,
+            lambda e: sign * (2.0 - np.asarray(e, dtype=float)),
+            lambda e: -sign * np.ones_like(np.asarray(e, dtype=float)),
+            critical=critical,
+        )
+        with pytest.raises(NonPositiveStretch, match="^stretches must be positive$"):
+            profile_distortion(bad)
+
+    @pytest.mark.parametrize("h_m, h_p", [(0.0, 1.0), (1.0, -2.0)])
+    def test_stretch_sample_gives_the_same_message(self, h_m, h_p):
+        with pytest.raises(NonPositiveStretch, match="^stretches must be positive$"):
+            StretchSample(0.5, h_m, h_p, 1.0)
 
     def test_near_flat_band_small_positive(self):
         # isometric meridians on an almost flat cone over a thin band near
