@@ -185,28 +185,23 @@ def optimal_alpha_by_root(rho1: float, rho2: float) -> float:
     """Half-apex angle minimizing the distortion over the annulus.
 
     The minimum is attained exactly where the two boundary parallels have
-    equal stretch, i.e. at the unique root a0 of F(rho2, a, rho1) = 1.
-    log F(rho2, a, rho1) = (1 + a) p + (1 - a) m with p < 0 < m is strictly
-    decreasing in a and changes sign on (-1, 1).  p and m are taken as
-    log1p of the band width over 1 + rho1 and 1 - rho2, so a narrow band
-    loses no digits to cancellation, and bisection runs until the bracket
-    holds two adjacent doubles.  The root always satisfies rho1 < a0 < rho2.
+    equal stretch, i.e. at the root a0 of F(rho2, a, rho1) = 1.
+    log F(rho2, a, rho1) = (1 + a) p + (1 - a) m, with
+    p = log((1 + rho1) / (1 + rho2)) < 0 < m = log((1 - rho1) / (1 - rho2)),
+    is linear in a, so a0 = (m + p) / (m - p) in closed form: Lambert's cone
+    constant (Snyder, Map Projections - A Working Manual, eq. 15-3).  With
+    w = rho2 - rho1, m + p is log1p of the Teichmuller branch's excess
+    w (rho1 + rho2) / ((1 - rho2)(1 + rho2)) and m - p is
+    log1p(w / (1 + rho1)) + log1p(w / (1 - rho2)), 4 pi times the annulus
+    modulus, so a narrow band loses no digits to cancellation.  The root
+    satisfies rho1 < a0 < rho2.
     """
     _check_band(rho1, rho2)
-    width = rho2 - rho1
-    p = -math.log1p(width / (1.0 + rho1))
-    m = math.log1p(width / (1.0 - rho2))
-    lo, hi = -1.0 + 1e-12, 1.0 - 1e-12
-    mid = 0.5 * (lo + hi)
-    for _ in range(200):  # a root near 0 would otherwise bisect into subnormals
-        if (1.0 + mid) * p + (1.0 - mid) * m > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-    return math.asin(mid)
+    w = rho2 - rho1
+    excess = w * (rho1 + rho2) / ((1.0 - rho2) * (1.0 + rho2))
+    return math.asin(
+        math.log1p(excess) / (math.log1p(w / (1.0 + rho1)) + math.log1p(w / (1.0 - rho2)))
+    )
 
 
 def _golden_section(

@@ -35,13 +35,13 @@ DIGESTS = {
     ("optimize", "polar"):
         "488acc1acef85e9980495070e0aa9c1b24937a52e69ef970412cfa33e5e78074",
     ("curves", "canonical"):
-        "e018b0aa3938cd243868901dc14618d167391196986cff79dca0ac99548d7bba",
+        "43149693300feabe489608b8a20abf0234df65e47ad109a67fe3034531e5031c",
     ("curves", "wide"):
         "c52968c607306332c19ad0bef1d408d2ba57fee85ce1c2376c7575aa50a2c660",
     ("curves", "equator"):
-        "7743d18309da93e7e4e83e241dbfc293934c1b3ea3a9d2c172b4fcf0d6b5e04c",
+        "4c0db8d11fe44b405f87c6268e0092c8065d9f12cb5fbdc3c2cc666189041f56",
     ("curves", "polar"):
-        "4fdfb714ada65866c18e45fd7fe8fcc8a52eb51c98af91e14d95481fa016c554",
+        "d589622ab4ed95d49899cb3e672d9d3e2c9906c0a1a7154483f286d83d633a4d",
 }
 
 

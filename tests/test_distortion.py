@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -17,6 +18,7 @@ from conicmaps import (
     profile_distortion,
     squared_stretch,
 )
+from conicmaps.cli import main
 from conicmaps.cone import cone_through_parallels
 from conicmaps.errors import NonPositiveStretch
 from conicmaps.projections import MeridianProfile, ProjectionParams
@@ -292,3 +294,42 @@ def test_root_of_very_narrow_band_is_inside(center, width):
     a = math.sin(optimal_alpha_by_root(rho1, rho2))
     assert rho1 < a < rho2
     assert abs(a - 0.5 * (rho1 + rho2)) <= width * width + 4e-16
+
+
+def _seeded_root_bands(seed, count):
+    """Bands of four classes: anywhere in the domain, 1e-12 to 1e-2 wide,
+    within 1e-12 to 1e-1 of the pole, and with rho1 + rho2 from 1e-12 to 1e-1."""
+    rng = np.random.default_rng(seed)
+    classes = {"random": [], "narrow": [], "near-pole": [], "near-zero-sum": []}
+    while min(map(len, classes.values())) < count:
+        rho1 = rng.uniform(-0.99, 0.99)
+        candidates = {
+            "random": (rho1, rng.uniform(rho1, 0.999)),
+            "narrow": (rho1, rho1 + 10.0 ** rng.uniform(-12.0, -2.0)),
+            "near-pole": (rho1, 1.0 - 10.0 ** rng.uniform(-12.0, -1.0)),
+            "near-zero-sum": (-abs(rho1), abs(rho1) + 10.0 ** rng.uniform(-12.0, -1.0)),
+        }
+        for name, (r1, r2) in candidates.items():
+            if -1.0 < r1 < r2 < 1.0 and r1 + r2 > 0.0 and len(classes[name]) < count:
+                classes[name].append((r1, r2))
+    return classes
+
+
+@pytest.mark.parametrize("band_class", ["random", "narrow", "near-pole", "near-zero-sum"])
+def test_root_against_mpmath(band_class):
+    """sin(alpha0) against the root of (1 + a) p + (1 - a) m = 0 at 40 digits."""
+    worst = 0.0
+    with mpmath.workdps(40):
+        for rho1, rho2 in _seeded_root_bands(17, 150)[band_class]:
+            p1, p2 = mpmath.mpf(rho1), mpmath.mpf(rho2)
+            p = mpmath.log((1 + p1) / (1 + p2))
+            m = mpmath.log((1 - p1) / (1 - p2))
+            exact = (m + p) / (m - p)
+            a = math.sin(optimal_alpha_by_root(rho1, rho2))
+            worst = max(worst, float(abs(a - exact) / exact))
+    assert worst <= 2e-15
+
+
+def test_optimize_on_a_zero_sum_band_prints_a0_zero(capsys):
+    assert main(["optimize", "--rho1=-0.3", "--rho2=0.3"]) == 2
+    assert "gives the optimal a0 = 0 <= 0, an upward cone" in capsys.readouterr().err

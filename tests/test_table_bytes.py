@@ -34,7 +34,7 @@ BANDS = {
 TABLE_DIGESTS = {
     "canonical": (
         "f250e128d52ba0ff2704fefe2dd495b8321cd9387f7697f44cbaf2e009d20ba9",
-        "3cee404ca368bbf6ec8b3e10e0edec2fa4760c1bdb850a884edea2e986edb5b4",
+        "ffd6757eae0bcff54b7b1d63f7e6dc15a402bc2663f8c56bdc6c7fc190af18a1",
     ),
     "wide": (
         "1a810a1bcbe084733c80aa97cf7e2ac5952d129681770459299e442e37914819",
@@ -42,23 +42,23 @@ TABLE_DIGESTS = {
     ),
     "equator": (
         "dfb4559571076df954a60f1a416c8ff39591fb7b14e298813ed63e849aff09bc",
-        "3899fc5ff08723317d1ca5fdc9d5197a35c14d1dc9b501176f4206b47f23794a",
+        "9be6aa7ffb1ea1c0ddc1661b175d560460c30da826c420d9441c91344a856bb9",
     ),
     "polar": (
         "912183029e021ffe6015414f7f1ba1997098f0ebcb6b305de24fb086b56ebf89",
-        "8263c0e9eb6f3ebf6d4a377ef35db4a3629c94cb5b2eec962ef9ef3bb4d71ee1",
+        "0d5c4d9c641491168af296715d07f64509b611cc88de7bc9deea35e52a26faa0",
     ),
     "narrow": (
         "c6e60dbd96ac7997de2a59df467e2f2f6be520a56866a36f0ac58dafb833e1bb",
-        "8187bfe08aa6012325acdd6fa4b408b44fcd95c7382829a96e480a156606b905",
+        "d909bd16355f38ac6d96989756c77cdd7ef9606eb76f67c21e7b5b6799883bef",
     ),
     "near-pole": (
         "225de708d6a5fa606f8ff66e37f4fa0d67911441f0441c05ea6b2b0cdf1ab868",
-        "c0f27eb3e4d7c9caf6d8c50fb3b75fb3d08c86257350604b5444c37d64829e7a",
+        "5dd0be6f229340c5b43a6cb182a2d0f3a607aae547ea6e2249137fabaaed51f3",
     ),
     "undefined-row": (
         "fd070a45cd508a645ba5806d57449d96c075571c050b012e54713dab9cd2fb9e",
-        "a13ccd02ae0c3e0e7c84df059c9d63b62e004ce29067e7e4d7490799d27dba31",
+        "b98137ba43b57ff078620f0139c30eea048bf4ae188898c336891c0092eb4b4f",
     ),
 }
 
