@@ -28,9 +28,9 @@ import numpy as np
 
 from . import projections
 from .distortion import (
+    _distortions_at,
     _require_positive,
     annulus_distortion,
-    annulus_distortions,
     optimal_alpha_by_root,
     optimal_alpha_by_scan,
 )
@@ -197,13 +197,11 @@ def _resolve(args: argparse.Namespace) -> None:
 def scan_table(rho1: float, rho2: float, n: int = 2001) -> CurveTable:
     """Distortion of the conformal map at n evenly spaced a = sin(alpha) in (0, 1).
 
-    The angles stay a ``math.asin`` list: ``np.arcsin`` rounds differently
-    on about one input in twelve, which would change the CSV bytes, while
-    :func:`annulus_distortions` takes every sine in numpy bit for bit.
+    Each row's distortion is evaluated at the a it prints, with the array
+    kernel of :func:`annulus_distortions`; the band is checked by the caller.
     """
     a = (np.arange(n) + 1) / (n + 1)
-    alphas = [math.asin(v) for v in a.tolist()]
-    delta = annulus_distortions(rho1, rho2, alphas, rho1)
+    delta = _distortions_at(rho1, rho2, a, rho1)
     return CurveTable(("sin_alpha", "distortion"), np.column_stack((a, delta)))
 
 

@@ -154,13 +154,10 @@ def annulus_distortion(rho1: float, rho2: float, alpha: float, rho0: float) -> f
 def annulus_distortions(rho1: float, rho2: float, alphas, rho0: float) -> np.ndarray:
     """:func:`annulus_distortion` at each half-apex angle of a 1-D ``alphas``.
 
-    The arguments are checked once, and the closure of
-    :func:`_distortion_in_a` is evaluated as array arithmetic in its own
-    operation order, so every value equals the scalar function's bit for
-    bit.  ``np.sin`` matches ``math.sin`` (the byte tests of ``optimize
-    --scan`` guard that); ``np.log1p`` does not, so log1p(+-a) at the
-    samples inside [rho1, rho2], where the infimum is F at a itself, stays in
-    ``math``.
+    The arguments are checked once and :func:`_distortions_at` evaluates
+    at ``np.sin(alphas)``, which matches ``math.sin`` (the byte tests of
+    ``optimize --scan`` guard that), so every value equals the scalar
+    function's bit for bit.
     """
     _check_band(rho1, rho2)
     alphas = np.asarray(alphas, dtype=float).ravel()
@@ -168,8 +165,17 @@ def annulus_distortions(rho1: float, rho2: float, alphas, rho0: float) -> np.nda
     if bad.any():
         raise ValueError(f"alpha must lie in (0, pi/2), got {alphas[bad][0]}")
     _check_open_unit("rho0", rho0)
+    return _distortions_at(rho1, rho2, np.sin(alphas), rho0)
+
+
+def _distortions_at(rho1: float, rho2: float, a: np.ndarray, rho0: float) -> np.ndarray:
+    """The closure of :func:`_distortion_in_a` at each a = sin(alpha) of a
+    1-D array, as array arithmetic in its own operation order.  Callers check
+    the arguments.  ``np.log1p`` does not match ``math.log1p``, so
+    log1p(+-a) at the samples inside [rho1, rho2], where the infimum is F at
+    a itself, stays in ``math``.
+    """
     lp0, lm0, p1, m1, p2, m2 = _log_terms(rho1, rho2, rho0)
-    a = np.sin(alphas)
     f1 = (1.0 + a) * p1 + (1.0 - a) * m1
     f2 = (1.0 + a) * p2 + (1.0 - a) * m2
     inf = np.where(a < rho1, f1, f2)

@@ -64,7 +64,11 @@ def test_sigma_table_matches_stretch_at(band):
 
 def _scalar_distortion(rho1, rho2, alpha, rho0):
     """annulus_distortion as written before it had an array form."""
-    a = math.sin(alpha)
+    return _scalar_distortion_at(rho1, rho2, math.sin(alpha), rho0)
+
+
+def _scalar_distortion_at(rho1, rho2, a, rho0):
+    """The same at a = sin(alpha) itself."""
     f1 = log_squared_stretch(rho1, a, rho0)
     f2 = log_squared_stretch(rho2, a, rho0)
     if rho1 <= a <= rho2:
@@ -83,7 +87,7 @@ def test_scan_csv_equals_scalar_loop_bytes(band, tmp_path):
     lines = ["sin_alpha,distortion"]
     for i in range(n):
         a = (i + 1) / (n + 1)
-        delta = _scalar_distortion(band[0], band[1], math.asin(a), band[0])
+        delta = _scalar_distortion_at(band[0], band[1], a, band[0])
         lines.append(f"{format(a, '.17g')},{format(delta, '.17g')}")
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 

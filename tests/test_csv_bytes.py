@@ -4,9 +4,9 @@ as they always have.
 Each digest is the SHA-256 of the UTF-8 stdout of `conicmaps optimize --scan
 --samples=12001` or `conicmaps curves --samples=1201` on one of four bands:
 the canonical one, a wide band reaching below the equator, a band around the
-equator and a band near the pole.  The scan takes its distortion column from
-`annulus_distortions` and its sin(alpha) column through `math.asin`; the
-curves take the six profiles' stretches.
+equator and a band near the pole.  The scan evaluates the array kernel of
+`annulus_distortions` at each sin(alpha) it prints; the curves take the six
+profiles' stretches.
 """
 
 import hashlib
@@ -27,13 +27,13 @@ CURVES_ARGV = ["curves", "--samples=1201"]
 
 DIGESTS = {
     ("optimize", "canonical"):
-        "dd3d123152ff6393eff53b1e96a6f37a6102c9521010cbed014cecaf1a23dd05",
+        "574c15df686846f66e10813e5696946f1e88073eebaae572a4af3d8811aa8508",
     ("optimize", "wide"):
-        "d8fad0390ac11de088ee517ba52c7ea5f37d271979d54894e3b11e03b27a6b78",
+        "dfc2b81dc102c6c4115cbd492db0ad79e4e039e285959c9a883136683dec32b9",
     ("optimize", "equator"):
-        "73aba1e65c3bef156d161ddd85abeb9002b28b4dc88a4fcd01ff92bc9a5a03cb",
+        "8890eaa911eaaaa45866fb0420e34fa7053b410338e1522ba22f483d0bf7f233",
     ("optimize", "polar"):
-        "488acc1acef85e9980495070e0aa9c1b24937a52e69ef970412cfa33e5e78074",
+        "f471b56ee642f986f5a7a99b528b41f2f280b1e494b0d0bf345d3964766aa496",
     ("curves", "canonical"):
         "43149693300feabe489608b8a20abf0234df65e47ad109a67fe3034531e5031c",
     ("curves", "wide"):
