@@ -35,13 +35,13 @@ DIGESTS = {
     ("optimize", "polar"):
         "f471b56ee642f986f5a7a99b528b41f2f280b1e494b0d0bf345d3964766aa496",
     ("curves", "canonical"):
-        "43149693300feabe489608b8a20abf0234df65e47ad109a67fe3034531e5031c",
+        "cae252ee8b2360dc575cf582d7605ff562b25b2564a905bf1ab0598d20f118cb",
     ("curves", "wide"):
-        "c52968c607306332c19ad0bef1d408d2ba57fee85ce1c2376c7575aa50a2c660",
+        "2248cb0fd63f8f4c7b8a6fda94fe6d27283ea7b4784a36d779ce0b4a87e68db8",
     ("curves", "equator"):
         "4c0db8d11fe44b405f87c6268e0092c8065d9f12cb5fbdc3c2cc666189041f56",
     ("curves", "polar"):
-        "d589622ab4ed95d49899cb3e672d9d3e2c9906c0a1a7154483f286d83d633a4d",
+        "29f409331ca4303592f4cdc94e441df99b20ac078cafb1f8f2e8e77a2b5cb6c3",
 }
 
 

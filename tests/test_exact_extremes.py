@@ -252,9 +252,6 @@ def test_table_on_overflow_band():
     assert main(["table", f"--rho1={OVERFLOW_BAND[0]}", f"--rho2={OVERFLOW_BAND[1]}"]) == 0
 
 
-@pytest.mark.xfail(raises=AssertionError, strict=True,
-                   reason="make_profile forms Lambert's s1 = sqrt(1 - rho1**2)/a0 "
-                          "with cancellation near the pole")
 def test_lambert_sigma_is_one_on_the_edges_of_a_near_pole_band(capsys):
     argv = ["curves", "--rho1", "0.99999999", "--rho2", "0.999999991", "--samples", "3"]
     assert main(argv) == 0

@@ -34,11 +34,11 @@ BANDS = {
 TABLE_DIGESTS = {
     "canonical": (
         "f250e128d52ba0ff2704fefe2dd495b8321cd9387f7697f44cbaf2e009d20ba9",
-        "ffd6757eae0bcff54b7b1d63f7e6dc15a402bc2663f8c56bdc6c7fc190af18a1",
+        "93e33e2f4e00cbabe6108fa01802f8598e70d5e228fc8365f8bb78bf5e4c6262",
     ),
     "wide": (
         "1a810a1bcbe084733c80aa97cf7e2ac5952d129681770459299e442e37914819",
-        "533adcc89198a88fc5af56bc5c0fde879e9ec5d00446712984107ea09f9928b6",
+        "8020b6d51290a2904383c5284984cc61c9b3b697b2f8073cef18a617d12acec4",
     ),
     "equator": (
         "dfb4559571076df954a60f1a416c8ff39591fb7b14e298813ed63e849aff09bc",
@@ -46,19 +46,19 @@ TABLE_DIGESTS = {
     ),
     "polar": (
         "912183029e021ffe6015414f7f1ba1997098f0ebcb6b305de24fb086b56ebf89",
-        "0d5c4d9c641491168af296715d07f64509b611cc88de7bc9deea35e52a26faa0",
+        "6c18efd2a9186738d620771a97c05770bc37c4b520e05fb859247c1d1940fe50",
     ),
     "narrow": (
         "c6e60dbd96ac7997de2a59df467e2f2f6be520a56866a36f0ac58dafb833e1bb",
-        "d909bd16355f38ac6d96989756c77cdd7ef9606eb76f67c21e7b5b6799883bef",
+        "9404964ec042656597f3c7511a107276bc367bb3457dd7b18e9db3872854cdc6",
     ),
     "near-pole": (
-        "225de708d6a5fa606f8ff66e37f4fa0d67911441f0441c05ea6b2b0cdf1ab868",
-        "5dd0be6f229340c5b43a6cb182a2d0f3a607aae547ea6e2249137fabaaed51f3",
+        "c6e60dbd96ac7997de2a59df467e2f2f6be520a56866a36f0ac58dafb833e1bb",
+        "c7252343897f2371fdb801fee9216158b39a608e2e02ea3a9d538c541b777fc5",
     ),
     "undefined-row": (
         "fd070a45cd508a645ba5806d57449d96c075571c050b012e54713dab9cd2fb9e",
-        "b98137ba43b57ff078620f0139c30eea048bf4ae188898c336891c0092eb4b4f",
+        "6be0faec393342313bdcc06ff79c1ea678c956dc16477e27f121737058a9db19",
     ),
 }
 
