@@ -154,10 +154,8 @@ def annulus_distortion(rho1: float, rho2: float, alpha: float, rho0: float) -> f
 def annulus_distortions(rho1: float, rho2: float, alphas, rho0: float) -> np.ndarray:
     """:func:`annulus_distortion` at each half-apex angle of a 1-D ``alphas``.
 
-    The arguments are checked once and :func:`_distortions_at` evaluates
-    at ``np.sin(alphas)``, which matches ``math.sin`` (the byte tests of
-    ``optimize --scan`` guard that), so every value equals the scalar
-    function's bit for bit.
+    The arguments are checked once; ``np.sin`` matches ``math.sin``, so every
+    value of :func:`_distortions_at` equals the scalar function's bit for bit.
     """
     _check_band(rho1, rho2)
     alphas = np.asarray(alphas, dtype=float).ravel()
@@ -169,12 +167,9 @@ def annulus_distortions(rho1: float, rho2: float, alphas, rho0: float) -> np.nda
 
 
 def _distortions_at(rho1: float, rho2: float, a: np.ndarray, rho0: float) -> np.ndarray:
-    """The closure of :func:`_distortion_in_a` at each a = sin(alpha) of a
-    1-D array, as array arithmetic in its own operation order.  Callers check
-    the arguments.  ``np.log1p`` does not match ``math.log1p``, so
-    log1p(+-a) at the samples inside [rho1, rho2], where the infimum is F at
-    a itself, stays in ``math``.
-    """
+    """The closure of :func:`_distortion_in_a` as array arithmetic in its own
+    operation order, at each a of a 1-D array; callers check the arguments.
+    log1p(+-a) inside [rho1, rho2] stays in ``math``, which ``np.log1p`` is not."""
     lp0, lm0, p1, m1, p2, m2 = _log_terms(rho1, rho2, rho0)
     f1 = (1.0 + a) * p1 + (1.0 - a) * m1
     f2 = (1.0 + a) * p2 + (1.0 - a) * m2
@@ -191,23 +186,19 @@ def optimal_alpha_by_root(rho1: float, rho2: float) -> float:
     """Half-apex angle minimizing the distortion over the annulus.
 
     The minimum is attained exactly where the two boundary parallels have
-    equal stretch, i.e. at the root a0 of F(rho2, a, rho1) = 1.
-    log F(rho2, a, rho1) = (1 + a) p + (1 - a) m, with
-    p = log((1 + rho1) / (1 + rho2)) < 0 < m = log((1 - rho1) / (1 - rho2)),
-    is linear in a, so a0 = (m + p) / (m - p) in closed form: Lambert's cone
-    constant (Snyder, Map Projections - A Working Manual, eq. 15-3).  With
-    w = rho2 - rho1, m + p is log1p of the Teichmuller branch's excess
-    w (rho1 + rho2) / ((1 - rho2)(1 + rho2)) and m - p is
-    log1p(w / (1 + rho1)) + log1p(w / (1 - rho2)), 4 pi times the annulus
-    modulus, so a narrow band loses no digits to cancellation.  The root
-    satisfies rho1 < a0 < rho2.
+    equal stretch, at the root a0 of log F(rho2, a, rho1) = (1 + a) p + (1 - a) m,
+    with p = log((1 + rho1) / (1 + rho2)) and m = log((1 - rho1) / (1 - rho2)).
+    That is linear in a, so a0 = (m + p) / (m - p), Lambert's cone constant in
+    closed form (Snyder, Map Projections - A Working Manual, eq. 15-3).  Both
+    sums are log1p terms that do not cancel on a narrow band: m + p of the
+    Teichmuller branch's excess and m - p = t, 4 pi times the annulus modulus.
+    The root satisfies rho1 < a0 < rho2.
     """
     _check_band(rho1, rho2)
     w = rho2 - rho1
     excess = w * (rho1 + rho2) / ((1.0 - rho2) * (1.0 + rho2))
-    return math.asin(
-        math.log1p(excess) / (math.log1p(w / (1.0 + rho1)) + math.log1p(w / (1.0 - rho2)))
-    )
+    t = math.log1p(w / (1.0 + rho1)) + math.log1p(w / (1.0 - rho2))
+    return math.asin(math.log1p(excess) / t)
 
 
 def _golden_section(

@@ -81,8 +81,7 @@ def _check_band(rho1: float, rho2: float) -> None:
 
 
 def _parallel_radius(rho: float) -> float:
-    """Radius sqrt(1 - rho^2) of the parallel at height ``rho``, formed as
-    sqrt((1 - rho)(1 + rho)) so that it keeps its relative accuracy near a pole."""
+    """Radius sqrt(1 - rho^2) of the parallel at ``rho``, accurate near a pole."""
     return math.sqrt((1.0 - rho) * (1.0 + rho))
 
 
