@@ -298,15 +298,17 @@ def test_root_of_very_narrow_band_is_inside(center, width):
 
 def _seeded_root_bands(seed, count):
     """Bands of four classes: anywhere in the domain, 1e-12 to 1e-2 wide,
-    within 1e-12 to 1e-1 of the pole, and with rho1 + rho2 from 1e-12 to 1e-1."""
+    1e-15 to 1e-1 below the pole and up to 100 times as wide, and with
+    rho1 + rho2 from 1e-12 to 1e-1."""
     rng = np.random.default_rng(seed)
     classes = {"random": [], "narrow": [], "near-pole": [], "near-zero-sum": []}
     while min(map(len, classes.values())) < count:
         rho1 = rng.uniform(-0.99, 0.99)
+        gap = 10.0 ** rng.uniform(-15.0, -1.0)
         candidates = {
             "random": (rho1, rng.uniform(rho1, 0.999)),
             "narrow": (rho1, rho1 + 10.0 ** rng.uniform(-12.0, -2.0)),
-            "near-pole": (rho1, 1.0 - 10.0 ** rng.uniform(-12.0, -1.0)),
+            "near-pole": (1.0 - gap * 10.0 ** rng.uniform(0.0, 2.0), 1.0 - gap),
             "near-zero-sum": (-abs(rho1), abs(rho1) + 10.0 ** rng.uniform(-12.0, -1.0)),
         }
         for name, (r1, r2) in candidates.items():
