@@ -169,7 +169,7 @@ def annulus_distortions(rho1: float, rho2: float, alphas, rho0: float) -> np.nda
 def _distortions_at(rho1: float, rho2: float, a: np.ndarray, rho0: float) -> np.ndarray:
     """The closure of :func:`_distortion_in_a` as array arithmetic in its own
     operation order, at each a of a 1-D array; callers check the arguments.
-    log1p(+-a) inside [rho1, rho2] stays in ``math``, which ``np.log1p`` is not."""
+    log1p(+-a) inside [rho1, rho2] stays in ``math``: ``np.log1p`` rounds otherwise."""
     lp0, lm0, p1, m1, p2, m2 = _log_terms(rho1, rho2, rho0)
     f1 = (1.0 + a) * p1 + (1.0 - a) * m1
     f2 = (1.0 + a) * p2 + (1.0 - a) * m2
