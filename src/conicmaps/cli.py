@@ -57,6 +57,9 @@ from .sphere import SphericalAnnulus
 CANONICAL_RHO1 = 0.737277
 CANONICAL_RHO2 = 0.887011
 
+# Largest --samples of optimize and curves: a huge count would end in MemoryError.
+MAX_SAMPLES = 1_000_000
+
 # Published reference values reproduced by `conicmaps reproduce`, with the
 # tolerance each one is gated at.
 REPRODUCTION_TARGETS = {
@@ -145,10 +148,9 @@ def _add_project_options(p: argparse.ArgumentParser) -> None:
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The flat parser of ``command``, or with None the top-level parser.
 
-    A subcommand's parser takes the subcommand's name as its first argument,
-    left out of its help, and then only that subcommand's options.  The
-    top-level parser lists every subcommand's name and help and takes no
-    options; it serves help and reports a missing or unknown subcommand.
+    A subcommand's parser reads the arguments after its name, and only that
+    subcommand's options.  The top-level parser takes no options: it lists
+    the subcommands with their help and reports a missing or unknown one.
     """
     if command is None:
         parser = argparse.ArgumentParser(
@@ -160,7 +162,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             sub.add_parser(name, help=help_text)
         return parser
     parser = argparse.ArgumentParser(prog=f"conicmaps {command}")
-    parser.add_argument("command", choices=(command,), help=argparse.SUPPRESS)
     _add_band(parser)
     SUBCOMMANDS[command][1](parser)
     return parser
@@ -226,6 +227,8 @@ def sigma_table(rho1: float, rho2: float, n: int = 1001) -> CurveTable:
 def _samples(args: argparse.Namespace, default: int) -> int:
     if args.samples is not None and args.samples < 2:
         raise ValueError("--samples must be at least 2")
+    if args.samples is not None and args.samples > MAX_SAMPLES:
+        raise ValueError(f"--samples must be at most {MAX_SAMPLES}")
     return args.samples or default
 
 
@@ -387,13 +390,11 @@ SUBCOMMANDS = {
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
-    parser = build_parser(command)
-    # Intermixed: plain parse_args leaves project's GeoJSON file unassigned
-    # when options stand between it and the subcommand's name.
-    args = parser.parse_intermixed_args(argv) if command else parser.parse_args(argv)
+    # With no subcommand, parsing always exits, with help or a usage error.
+    args = build_parser(command).parse_args(argv[1:] if command else argv)
     try:
         _resolve(args)
-        return SUBCOMMANDS[args.command][2](args)
+        return SUBCOMMANDS[command][2](args)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

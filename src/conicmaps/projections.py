@@ -85,7 +85,7 @@ class MeridianProfile:
     """A projection encoded as slant distance against colatitude.
 
     ``eps_hi < eps_lo``: the upper parallel (height rho2) has the smaller
-    colatitude.  ``s`` and ``s_prime`` accept scalars or numpy arrays.
+    colatitude.  ``s`` and ``s_prime`` take a float or a float array.
     ``aux`` carries per-kind derived constants (scale factor, dilatation and
     both moduli, optimal angle) for reporting.  ``critical`` holds every
     colatitude, in or out of the band, where either principal stretch can
@@ -144,10 +144,9 @@ def _power_profile(kind, cone, eps1, eps2, s1, m, aux) -> MeridianProfile:
     t1 = math.tan(0.5 * eps1)
 
     def s(e):
-        return s1 * (np.tan(0.5 * np.asarray(e, dtype=float)) / t1) ** m
+        return s1 * (np.tan(0.5 * e) / t1) ** m
 
     def s_prime(e):
-        e = np.asarray(e, dtype=float)
         return s(e) * m / np.sin(e)
 
     critical = (math.acos(m),) if abs(m) < 1.0 else ()
@@ -196,11 +195,10 @@ def _affine_profile(kind, cone, eps1, eps2, s_a, eps_a, k, aux) -> MeridianProfi
     """
 
     def s(e):
-        e = np.asarray(e, dtype=float)
         return s_a + k * (e - eps_a)
 
     def s_prime(e):
-        return np.full_like(np.asarray(e, dtype=float), k)
+        return np.full_like(e, k, dtype=float)
 
     critical = _affine_parallel_critical(s_a, eps_a, k, eps2, eps1)
     return MeridianProfile(kind, cone, eps1, eps2, s, s_prime, aux, critical)
@@ -244,11 +242,9 @@ def make_profile(kind: str, params: ProjectionParams) -> MeridianProfile:
     if kind == KIND_CENTRAL:
 
         def s(e):
-            e = np.asarray(e, dtype=float)
             return apex * np.sin(e) / np.sin(e + alpha)
 
         def s_prime(e):
-            e = np.asarray(e, dtype=float)
             return apex * sa / np.sin(e + alpha) ** 2
 
         return MeridianProfile(kind, cone, eps1, eps2, s, s_prime, critical=(foot,))
@@ -256,11 +252,9 @@ def make_profile(kind: str, params: ProjectionParams) -> MeridianProfile:
     if kind == KIND_ORTHOGONAL:
 
         def s(e):
-            e = np.asarray(e, dtype=float)
             return np.sin(e) * sa + ca * (apex - np.cos(e))
 
         def s_prime(e):
-            e = np.asarray(e, dtype=float)
             return np.sin(e + alpha)
 
         # The parallel stretch sa^2 + sa ca (apex - cos eps) / sin eps has
