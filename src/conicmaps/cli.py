@@ -214,7 +214,7 @@ def sigma_table(rho1: float, rho2: float, n: int = 1001) -> CurveTable:
     # A profile's bounds are cos(acos(rho)), which can sit an ulp inside the
     # band's edges; stretch_at clamps the same way.
     inside = np.minimum(np.maximum(rho, profiles[0].rho1), profiles[0].rho2)
-    eps = [math.acos(r) for r in inside.tolist()]
+    eps = np.array([math.acos(r) for r in inside.tolist()])
     columns = [rho]
     for profile in profiles:
         h_m, h_p = profile.stretches(eps)

@@ -3,9 +3,11 @@ every value of a float array, byte for byte, without a call per value.
 
 Each value is scaled by a power of ten as an exact double-double (hi, lo)
 with Dekker's two-product and rounded half to even to an integer, whose
-digits come from integer division by constants.  The text is laid out in a
-column-major uint8 array, one column a value, with a mask of the bytes
-that belong to it.  A value outside a format's fast domain is formatted by
+digits come from 32-bit integer division by constants, eight digits at a
+time.  The text of a chunk of values is laid out in a column-major uint8
+array, one column a value, with a mask of the bytes that belong to it; the
+'%.8f' frame has as many integer-digit rows as the chunk's widest rounded
+integer part needs.  A value outside a format's fast domain is formatted by
 ``%`` itself and spliced into place.  This is the one number writer of the
 CSV and SVG output (see ``geodata.write_csv`` and ``geodata.render_svg``).
 """
@@ -45,10 +47,10 @@ def _times_pow10(a, p):
 
 
 def _digit_rows(r: np.ndarray, out: np.ndarray) -> None:
-    """Write the decimal digits of the (k, n) integers ``r`` below 10**8 into
-    the (8k, n) uint8 array ``out``: digit values, eight rows a number, most
-    significant first."""
-    groups = np.empty((2 * len(r), r.shape[1]), np.int64)
+    """Write the decimal digits of the (k, n) uint32 integers ``r`` below
+    10**8 into the (8k, n) uint8 array ``out``: digit values, eight rows a
+    number, most significant first.  Every step fits in 32 bits."""
+    groups = np.empty((2 * len(r), r.shape[1]), np.uint32)
     np.floor_divide(r, 10**4, out=groups[0::2])
     np.subtract(r, 10**4 * groups[0::2], out=groups[1::2])
     hundreds = groups // 100
@@ -59,14 +61,22 @@ def _digit_rows(r: np.ndarray, out: np.ndarray) -> None:
     np.subtract(pairs, 10 * out[0::2], out=out[1::2])
 
 
+def _text_rows(width: int, n: int, sep_width: int):
+    """The uninitialised (text, keep) arrays of a chunk of n values: a sign
+    row, ``width`` frame rows and ``sep_width`` separator rows."""
+    shape = (1 + width + sep_width, n)
+    return np.empty(shape, np.uint8), np.empty(shape, bool)
+
+
 # Row numbers of a frame, and the digit value that '0' turns into '.'.
 _ROWS = np.arange(22, dtype=np.int8)[:, None]
 _POINT = np.uint8(ord(".") - ord("0") + 256)
 
 
-def _g17_frame(ax: np.ndarray, frame: np.ndarray, keep: np.ndarray) -> None:
-    """'%.17g' of each ax in [1e-4, 1e16), as ASCII in the (22, n) ``frame``,
-    whose ``keep`` rows are the text.
+def _g17_frame(ax: np.ndarray, sep_width: int):
+    """'%.17g' of each ax in [1e-4, 1e16): the chunk's (text, keep) arrays
+    (see ``_text_rows``) with the 22-row frame filled in as ASCII, whose
+    ``keep`` rows are the number's text.
 
     In this range %.17g is fixed notation: the 17 significant digits D of
     ax = D * 10**(X - 16), a point after the units digit, "0." and zeros
@@ -95,11 +105,15 @@ def _g17_frame(ax: np.ndarray, frame: np.ndarray, keep: np.ndarray) -> None:
     a[5] = lead
     d -= lead * 10**16
     high = d // 10**8
-    d -= high * 10**8
-    _digit_rows(np.stack((high, d)), a[6:22])
-    del d, high, lead
+    rest = np.empty((2, len(ax)), np.uint32)  # the other 16 digits
+    rest[0] = high
+    rest[1] = d - high * 10**8
+    _digit_rows(rest, a[6:22])
+    del d, high, lead, rest
     last = ((a[6:22] != 0) * _ROWS[6:22]).max(axis=0)  # the last nonzero digit
     np.maximum(last, 5, out=last)
+    text, keep = _text_rows(22, len(ax), sep_width)
+    frame, frame_keep = text[1:23], keep[1:23]
     # Row r of the text is a[r + 1] up to the units digit (row 4 + x), then
     # the point, then a[r].
     np.subtract(a[1:], a[:-1], out=frame)
@@ -109,14 +123,19 @@ def _g17_frame(ax: np.ndarray, frame: np.ndarray, keep: np.ndarray) -> None:
     frame += ord("0")
     # The text runs from "0" (x < 0) or the leading digit to the last
     # nonzero digit after the point, or to the units digit if there is none.
-    np.greater_equal(_ROWS, 4 + np.minimum(x, 0), out=keep)
-    keep &= _ROWS <= np.where(last <= 5 + x, 4 + x, last)
+    np.greater_equal(_ROWS, 4 + np.minimum(x, 0), out=frame_keep)
+    frame_keep &= _ROWS <= np.where(last <= 5 + x, 4 + x, last)
+    return text, keep
 
 
-def _f8_frame(ax: np.ndarray, frame: np.ndarray, keep: np.ndarray) -> None:
-    """'%.8f' of each ax with ax * 1e8 <= 2**52, as ASCII in the (17, n)
-    ``frame``: eight integer digits, the point and eight decimals, of which
-    ``keep`` drops the leading zeros before the units digit."""
+def _f8_frame(ax: np.ndarray, sep_width: int):
+    """'%.8f' of each ax with ax * 1e8 <= 2**52: the chunk's (text, keep)
+    arrays (see ``_text_rows``) with the frame filled in as ASCII.
+
+    The frame is sized to the chunk: as many integer digits as its largest
+    units part has, the point and eight decimals.  ``keep`` drops each
+    value's zeros before its units digit.
+    """
     hi, lo = _times_pow10(ax, 8)
     m = np.rint(hi)
     # hi - m is exact; only on a tie of hi does lo decide, and it rounds
@@ -125,25 +144,35 @@ def _f8_frame(ax: np.ndarray, frame: np.ndarray, keep: np.ndarray) -> None:
     tie = np.flatnonzero((np.abs(off) == 0.5) & (lo * off > 0.0))
     m[tie] += 2.0 * off[tie]
     del hi, lo, off
+    # The units are rounded first, so that the text is allocated at its
+    # final height: units < 2**52 / 1e8 < 10**8 has at most eight digits.
     m = m.astype(np.int64)
     units = m // 10**8
-    m -= units * 10**8
-    digits = np.empty((16, len(ax)), np.uint8)
-    _digit_rows(np.stack((units, m)), digits)
-    frame[:8] = digits[:8]
-    frame[8] = _POINT
-    frame[9:] = digits[8:]
+    fraction = np.empty((1, len(ax)), np.uint32)
+    fraction[0] = m - units * 10**8
+    units = units.astype(np.uint32)
+    places = len(str(units.max(initial=0)))
+    text, keep = _text_rows(places + 9, len(ax), sep_width)
+    frame, frame_keep = text[1 : places + 10], keep[1 : places + 10]
+    np.greater_equal(units, _POW10[places - 1 : 0 : -1, None], out=frame_keep[: places - 1])
+    frame_keep[places - 1 :] = True
+    for row in range(places - 1, 0, -1):
+        tens = units // 10
+        frame[row] = units - 10 * tens
+        units = tens
+    frame[0] = units
+    frame[places] = _POINT
+    _digit_rows(fraction, frame[places + 1 :])
     frame += ord("0")
-    np.greater_equal(units, _POW10[7:0:-1, None], out=keep[:7])
-    keep[7:] = True
+    return text, keep
 
 
-# spec -> (frame rows, frame function, fast domain of |x|).  %.17g is fixed
-# notation on its domain; below the %.8f bound ax * 1e8 rounds to at most
-# 2**52, where hi - rint(hi) is exact.
+# spec -> (text builder, fast domain of |x|).  %.17g is fixed notation on
+# its domain; below the %.8f bound ax * 1e8 rounds to at most 2**52, where
+# hi - rint(hi) is exact.
 _FORMATS = {
-    "%.17g": (22, _g17_frame, lambda ax: (ax >= 1e-4) & (ax < 1e16)),
-    "%.8f": (17, _f8_frame, lambda ax: ax < 2.0**52 / 1e8),
+    "%.17g": (_g17_frame, lambda ax: (ax >= 1e-4) & (ax < 1e16)),
+    "%.8f": (_f8_frame, lambda ax: ax < 2.0**52 / 1e8),
 }
 
 
@@ -162,7 +191,7 @@ def decimal_chunks(values: np.ndarray, spec: str, seps: tuple, ends):
     outside the format's fast domain (zero, subnormals, exponent notation,
     large or non-finite values) is formatted by ``%`` and spliced in.
     """
-    width, build_frame, fast_domain = _FORMATS[spec]
+    build_text, fast_domain = _FORMATS[spec]
     encoded = [s.encode("ascii") for s in seps]
     sep_width = max(map(len, encoded))
     sep_bytes = np.zeros((sep_width, len(seps)), np.uint8)
@@ -175,20 +204,21 @@ def decimal_chunks(values: np.ndarray, spec: str, seps: tuple, ends):
     for start in range(0, len(values), chunk):
         x = values[start : start + chunk].ravel()
         ids = ends[start : start + chunk].ravel()
-        text = np.empty((1 + width + sep_width, len(x)), np.uint8)
-        keep = np.empty(text.shape, bool)
-        text[0] = ord("-")
-        np.signbit(x, out=keep[0])
         ax = np.abs(x)
         outside = np.flatnonzero(~fast_domain(ax))
         ax[outside] = 1.0
-        build_frame(ax, text[1 : 1 + width], keep[1 : 1 + width])
+        text, keep = build_text(ax, sep_width)
+        text[0] = ord("-")
+        # keep[0] is a contiguous row: numpy 2.4.6's signbit writes wrong
+        # values into a strided bool ``out`` of 16 or more elements.
+        np.signbit(x, out=keep[0])
         # A NUL marks where each value outside the domain goes.
         text[0, outside] = 0
         keep[:, outside] = False
         keep[0, outside] = True
-        text[1 + width :] = sep_bytes[:, ids]
-        keep[1 + width :] = sep_keep[:, ids]
+        body = len(text) - sep_width
+        text[body:] = sep_bytes[:, ids]
+        keep[body:] = sep_keep[:, ids]
         text = text.T[keep.T].tobytes().decode("ascii")
         if len(outside):
             parts = text.split("\0")

@@ -408,8 +408,10 @@ def render_svg(layer_groups) -> str:
     paths = [path for _, group in groups for path in group]
     pts = np.concatenate(paths or [np.empty((0, 2))])
     if len(pts):
-        min_x, min_y = pts.min(axis=0).tolist()
-        max_x, max_y = pts.max(axis=0).tolist()
+        # One reduction a column: numpy reduces axis 0 of an (n, 2) array
+        # two values at a time, about ten times slower.
+        min_x, min_y = (float(column.min()) for column in pts.T)
+        max_x, max_y = (float(column.max()) for column in pts.T)
     else:
         min_x = min_y = 0.0
         max_x = max_y = 1.0
@@ -438,8 +440,8 @@ def render_svg(layer_groups) -> str:
             '<path d="M ' + (next(coords) if len(path) else "") + '"/>' for path in group
         )
         out.append("</g>")
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    out += ["</svg>", ""]
+    return "\n".join(out)
 
 
 def write_svg(paths, style: SvgStyle, dest, overlays=()) -> None:

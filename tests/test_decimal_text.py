@@ -254,6 +254,45 @@ def test_svg_equals_the_per_path_templates(case):
     assert render_svg(groups) == old_svg(groups)
 
 
+def chunks_of_differing_widths():
+    """Whole chunks of `_CHUNK_VALUES` values whose widest integer parts in
+    '%.8f' differ from chunk to chunk, each with -0.0 and fallback values.
+
+    In some the widest value reaches its width only by rounding up across a
+    power of ten, so the width must come from the rounded value.
+    """
+    rng = np.random.default_rng(17)
+    fallback = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]
+    extremes = [
+        [0.5e-8, 1.5e-8, 0.99999999],  # only |v| < 1, also as text
+        neighbours([9.999999995], 3),  # 9.99999999 and 10.00000000
+        [12345.678, 0.25],
+        neighbours([99.999999995], 3),  # 99.99999999 and 100.00000000
+        [0.125],
+        neighbours([F8_EDGE], 8),  # eight integer digits, the rest falls back
+        [3.0],
+    ]
+    chunks = []
+    for values in extremes:
+        body = rng.uniform(-0.999, 0.999, _CHUNK_VALUES) * np.max(values)
+        body[: 2 * len(values) + len(fallback)] = np.concatenate((signed(values), fallback))
+        chunks.append(rng.permutation(body))
+    return np.concatenate(chunks)
+
+
+def test_f8_chunks_of_differing_widths():
+    values = chunks_of_differing_widths()
+    text = reference(values, "%.8f", ("\n",), 0).split("\n")
+    for rounded in ("10.00000000", "100.00000000", "-45035996.27370496"):
+        assert rounded in text
+    assert_same_text(values, "%.8f")
+    groups = [
+        (SvgStyle(), [values[: 2 * _CHUNK_VALUES].reshape(-1, 2)]),
+        (SvgStyle(stroke="red"), [values[2 * _CHUNK_VALUES :].reshape(-1, 2)]),
+    ]
+    assert render_svg(groups) == old_svg(groups)
+
+
 def test_separators_follow_their_ends():
     values = np.array([[1.0, 2.0, 3.0], [-0.5, 0.0, 8.3e-5]])
     ends = np.array([[0, 1, 2], [2, 1, 0]])
