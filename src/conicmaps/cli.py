@@ -83,11 +83,13 @@ REPRODUCTION_TARGETS = {
 def _degree_minutes(rad: float) -> str:
     total_min = math.degrees(rad) * 60.0
     deg = int(total_min // 60.0)
-    minutes = total_min - 60.0 * deg
-    return f"{deg}\N{DEGREE SIGN}{minutes:04.1f}\N{PRIME}"
+    minutes = f"{total_min - 60.0 * deg:04.1f}"
+    if minutes == "60.0":  # the minutes rounded up to a whole degree
+        deg, minutes = deg + 1, "00.0"
+    return f"{deg}\N{DEGREE SIGN}{minutes}\N{PRIME}"
 
 
-def _add_band(p: argparse.ArgumentParser) -> None:
+def _add_band(p: argparse._ActionsContainer) -> None:
     p.add_argument(
         "--rho1",
         type=float,
@@ -108,13 +110,17 @@ def _add_band(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_csv_options(p: argparse.ArgumentParser) -> None:
+# A subcommand's adder takes its parser and the container of its options: it
+# adds its options to the container and its positionals to the parser.
+def _add_csv_options(parser: argparse.ArgumentParser, p: argparse._ActionsContainer) -> None:
     p.add_argument("--samples", type=int, help="sample count")
     p.add_argument("--csv", help="CSV output file")
 
 
-def _add_optimize_options(p: argparse.ArgumentParser) -> None:
-    _add_csv_options(p)
+def _add_optimize_options(
+    parser: argparse.ArgumentParser, p: argparse._ActionsContainer
+) -> None:
+    _add_csv_options(parser, p)
     p.add_argument(
         "--scan",
         action="store_true",
@@ -122,7 +128,9 @@ def _add_optimize_options(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_project_options(p: argparse.ArgumentParser) -> None:
+def _add_project_options(
+    parser: argparse.ArgumentParser, p: argparse._ActionsContainer
+) -> None:
     p.add_argument("--alpha", type=float, help="half-apex angle override (Lambert only)")
     p.add_argument(
         "--kind",
@@ -138,7 +146,7 @@ def _add_project_options(p: argparse.ArgumentParser) -> None:
         "(default: 180, the antimeridian)",
     )
     p.add_argument("--out", help="SVG output file (default: stdout)")
-    p.add_argument(
+    parser.add_argument(
         "geojson",
         nargs="?",
         help="optional GeoJSON file with LineString/MultiLineString overlays",
@@ -151,6 +159,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     A subcommand's parser reads the arguments after its name, and only that
     subcommand's options.  The top-level parser takes no options: it lists
     the subcommands with their help and reports a missing or unknown one.
+
+    A subcommand's options, -h first, sit in one argument group titled
+    "options", as argparse's own would be; its positionals stay on the
+    parser.  argparse checks the metavar of an argument added to a parser,
+    not to a group, with a throwaway help formatter that reads the terminal
+    size.  So a valid call builds no formatter unless the subcommand has a
+    positional, and only help and usage errors read the terminal size.
     """
     if command is None:
         parser = argparse.ArgumentParser(
@@ -161,9 +176,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         for name, (help_text, _, _) in SUBCOMMANDS.items():
             sub.add_parser(name, help=help_text)
         return parser
-    parser = argparse.ArgumentParser(prog=f"conicmaps {command}")
-    _add_band(parser)
-    SUBCOMMANDS[command][1](parser)
+    parser = argparse.ArgumentParser(prog=f"conicmaps {command}", add_help=False)
+    options = parser.add_argument_group("options")
+    options.add_argument(
+        "-h", "--help", action="help", default=argparse.SUPPRESS,
+        help="show this help message and exit",
+    )
+    _add_band(options)
+    SUBCOMMANDS[command][1](parser, options)
     return parser
 
 
@@ -269,7 +289,9 @@ def cmd_table(args: argparse.Namespace) -> int:
             print(f"{kind:<22}{'undefined':>14}")
             continue
         delta, sup, inf = rep.delta, math.exp(rep.sup_log), math.exp(rep.inf_log)
-        print(f"{kind:<22}{delta:>14.10f}{sup:>14.10f}{inf:>14.10f}")
+        # A cell keeps a leading space however wide its value is.
+        cells = "".join(f"{' ' + format(v, '.10f'):>14}" for v in (delta, sup, inf))
+        print(f"{kind:<22}{cells}")
         rows.append((i, delta, sup, inf))
     if args.csv:
         columns = ("kind_index", "distortion", "sup_stretch", "inf_stretch")
@@ -382,7 +404,7 @@ SUBCOMMANDS = {
     "curves": ("bi-Lipschitz curves of the six projections", _add_csv_options,
                cmd_curves),
     "project": ("render a projected map as SVG", _add_project_options, cmd_project),
-    "reproduce": ("check all published reference values", lambda p: None,
+    "reproduce": ("check all published reference values", lambda parser, p: None,
                   cmd_reproduce),
 }
 
