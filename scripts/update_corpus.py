@@ -4,8 +4,9 @@
 Replays every argv of `tests/data/corpus.json` (see `tests/corpus.py`),
 writes `tests/data/corpus_manifest.json` and prints, one a line, the argv
 of every entry whose outcome differs from the manifest it replaced, marked
-``moved``, ``new`` or ``gone``.  Takes no options; run it from anywhere,
-with `conicmaps` importable:
+``moved``, ``new`` or ``gone``; a ``moved`` line ends with the outcomes
+that changed, among exit, stdout, stderr, files and raises.  Takes no
+options; run it from anywhere, with `conicmaps` importable:
 
     PYTHONPATH=src python scripts/update_corpus.py
 """
@@ -33,7 +34,7 @@ def main() -> int:
         if key not in old:
             print(f"new    {key}")
         elif old[key] != entry:
-            print(f"moved  {key}")
+            print(f"moved  {key}  ({', '.join(corpus.changed_outcomes(old[key], entry))})")
     for key in old.keys() - new.keys():
         print(f"gone   {key}")
     print(f"{len(entries)} entries written to {corpus.MANIFEST.name}", file=sys.stderr)

@@ -27,7 +27,6 @@ from .distortion import (
     DistortionReport,
     StretchSample,
     annulus_distortion,
-    annulus_distortions,
     bilipschitz_curve,
     log_squared_stretch,
     optimal_alpha_by_root,

@@ -50,7 +50,7 @@ from .geodata import (
 # stretch_at is not called here, but benchmarks/tracing.py wraps it in this
 # namespace, so it stays imported.
 from .projections import ProjectionParams, compare_all, make_profile, stretch_at  # noqa: F401
-from .sphere import SphericalAnnulus
+from .sphere import SphericalAnnulus, _check_band
 
 # Heights of the canonical annulus: the band spanned by the historical
 # Russian-Empire maps, bounded by the parallels at 47.5 and 62.5 degrees.
@@ -203,11 +203,7 @@ def _resolve(args: argparse.Namespace) -> None:
     rho2 = args.rho2 if args.rho2 is not None else (
         from_lat(args.lat2) if args.lat2 is not None else CANONICAL_RHO2
     )
-    if not -1.0 < rho1 < rho2 < 1.0:
-        raise ValueError(
-            f"invalid band: need -1 < rho1 < rho2 < 1, got rho1={rho1:.6g}, "
-            f"rho2={rho2:.6g}"
-        )
+    _check_band(rho1, rho2)
     limit = 90.0 if args.degrees else math.pi / 2.0
     for name, lat in (("lat1", args.lat1), ("lat2", args.lat2)):
         if lat is not None and not abs(lat) < limit:
@@ -219,7 +215,7 @@ def scan_table(rho1: float, rho2: float, n: int = 2001) -> CurveTable:
     """Distortion of the conformal map at n evenly spaced a = sin(alpha) in (0, 1).
 
     Each row's distortion is evaluated at the a it prints, with the array
-    kernel of :func:`annulus_distortions`; the band is checked by the caller.
+    kernel of :func:`annulus_distortion`; the band is checked by the caller.
     """
     a = (np.arange(n) + 1) / (n + 1)
     delta = _distortions_at(rho1, rho2, a, rho1)

@@ -144,6 +144,13 @@ def lambert_slant_distance(chart: LambertChart, epsilon: float) -> float:
     return math.exp(log_s)
 
 
+def _log_f(x: float, y: float, z: float) -> float:
+    """Unchecked log F(x, y, z) = log L(x)^2, with y = sin(alpha) and rho0 = z."""
+    return (1.0 + y) * (math.log1p(z) - math.log1p(x)) + (1.0 - y) * (
+        math.log1p(-z) - math.log1p(-x)
+    )
+
+
 def lipschitz_constant(rho: float, alpha: float, rho0: float) -> float:
     """Infinitesimal stretch of the normalized conformal map at height rho:
 
@@ -158,11 +165,7 @@ def lipschitz_constant(rho: float, alpha: float, rho0: float) -> float:
     _check_open_unit("rho0", rho0)
     if not 0.0 < alpha <= math.pi / 2.0:
         raise ValueError(f"alpha must lie in (0, pi/2], got {alpha}")
-    sa = math.sin(alpha)
-    log_l2 = (1.0 - sa) * (math.log1p(-rho0) - math.log1p(-rho)) + (1.0 + sa) * (
-        math.log1p(rho0) - math.log1p(rho)
-    )
-    return math.exp(0.5 * log_l2)
+    return math.exp(0.5 * _log_f(rho, math.sin(alpha), rho0))
 
 
 def metric_ratio(r: float, chart: LambertChart) -> float:

@@ -42,8 +42,8 @@ from .distortion import (
     profile_distortion,
 )
 from .errors import InvalidKind, NonPositiveStretch, OnCutMeridian, OutOfAnnulus
-from .sphere import TAU, PlanarPoint, SphericalAnnulus, SphericalPoint, annulus_modulus
-from .sphere import _check_band, _parallel_radius, _Record
+from .sphere import TAU, PlanarPoint, SphericalPoint
+from .sphere import _band_logs, _check_band, _parallel_radius, _Record
 
 KIND_LAMBERT = "lambert"
 KIND_CENTRAL = "central"
@@ -276,11 +276,10 @@ def make_profile(kind: str, params: ProjectionParams) -> MeridianProfile:
         return _affine_profile(kind, cone, eps1, eps2, s1, eps1, 1.0, {})
 
     if kind == KIND_TEICHMULLER:
-        # log(s1/s2) = log1p(r1^2/r2^2 - 1) / 2, and nothing cancels in that
-        # argument, (rho2 - rho1)(rho1 + rho2) / ((1 - rho2)(1 + rho2)).
-        excess = (rho2 - rho1) * (rho1 + rho2) / ((1.0 - rho2) * (1.0 + rho2))
-        mod_cone = 0.5 * math.log1p(excess) / (TAU * sa)
-        mod_sphere = annulus_modulus(SphericalAnnulus(rho1, rho2))
+        # log(s1/s2) = log(r1^2/r2^2) / 2; the sphere's modulus is t / (4 pi).
+        log_r, t = _band_logs(rho1, rho2)
+        mod_cone = 0.5 * log_r / (TAU * sa)
+        mod_sphere = t / (4.0 * math.pi)
         dil = mod_cone / mod_sphere
         aux = {"dilatation": dil, "mod_sphere": mod_sphere, "mod_cone": mod_cone}
         return _power_profile(kind, cone, eps1, eps2, s1, dil * sa, aux)

@@ -201,14 +201,20 @@ def spherical_midpoint(p: SphericalPoint, q: SphericalPoint) -> SphericalPoint:
     return SphericalPoint.from_xyz(*s)
 
 
+def _band_logs(rho1: float, rho2: float) -> tuple[float, float]:
+    """log(r1^2/r2^2) and t = 4 pi Mod of a band the caller checked, in log1p
+    forms (w = rho2 - rho1) that do not cancel on a narrow band."""
+    w = rho2 - rho1
+    excess = w * (rho1 + rho2) / ((1.0 - rho2) * (1.0 + rho2))
+    t = math.log1p(w / (1.0 + rho1)) + math.log1p(w / (1.0 - rho2))
+    return math.log1p(excess), t
+
+
 def annulus_modulus(a: SphericalAnnulus) -> float:
     """Conformal modulus of the annulus between the two parallels.
 
     Computed through the stereographic image, a round annulus with radii
     sqrt((1+rho)/(1-rho)); the value, additive over concatenated bands, is
-    (log1p(w/(1+rho1)) + log1p(w/(1-rho2))) / (4*pi) with w = rho2 - rho1,
-    a form that does not cancel on narrow bands.
+    t / (4*pi) with t from :func:`_band_logs`.
     """
-    w = a.rho2 - a.rho1
-    t = math.log1p(w / (1.0 + a.rho1)) + math.log1p(w / (1.0 - a.rho2))
-    return t / (4.0 * math.pi)
+    return _band_logs(a.rho1, a.rho2)[1] / (4.0 * math.pi)

@@ -104,6 +104,15 @@ def replay() -> list:
     return entries
 
 
+OUTCOMES = ("exit", "stdout", "stderr", "files", "raises")
+
+
+def changed_outcomes(old: dict, new: dict) -> list:
+    """The names in ``OUTCOMES`` whose value differs between two entries, in
+    that order; a name one entry lacks differs from one it has."""
+    return [name for name in OUTCOMES if old.get(name) != new.get(name)]
+
+
 def dumps_manifest(entries: list) -> str:
     """The manifest's text: one entry a line, keys sorted."""
     lines = [json.dumps(e, sort_keys=True) for e in entries]

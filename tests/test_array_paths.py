@@ -17,7 +17,6 @@ from conicmaps import (
     SphericalPoint,
     SvgStyle,
     annulus_distortion,
-    annulus_distortions,
     graticule,
     log_squared_stretch,
     make_profile,
@@ -93,13 +92,13 @@ def test_scan_csv_equals_scalar_loop_bytes(band, tmp_path):
 
 
 def test_annulus_distortions_checks_every_angle():
-    assert annulus_distortions(RHO1, RHO2, [], RHO1).shape == (0,)
+    assert annulus_distortion(RHO1, RHO2, [], RHO1).shape == (0,)
     with pytest.raises(ValueError, match="alpha must lie"):
-        annulus_distortions(RHO1, RHO2, [0.5, 0.9, math.nan], RHO1)
+        annulus_distortion(RHO1, RHO2, [0.5, 0.9, math.nan], RHO1)
     with pytest.raises(ValueError, match="alpha must lie"):
-        annulus_distortions(RHO1, RHO2, [0.5, -0.1], RHO1)
+        annulus_distortion(RHO1, RHO2, [0.5, -0.1], RHO1)
     with pytest.raises(ValueError, match="rho1 < rho2"):
-        annulus_distortions(RHO2, RHO1, [0.5], RHO1)
+        annulus_distortion(RHO2, RHO1, [0.5], RHO1)
 
 
 # Bands down to 1e-10 wide and within 1e-8 of the pole, where the interior
@@ -113,7 +112,7 @@ def _bits(values):
 
 
 def _assert_matches_scalar_paths(rho1, rho2, alphas, rho0):
-    got = annulus_distortions(rho1, rho2, alphas, rho0)
+    got = annulus_distortion(rho1, rho2, alphas, rho0)
     closure = _distortion_in_a(rho1, rho2, rho0)
     reference = [_scalar_distortion(rho1, rho2, x, rho0) for x in alphas]
     scan_solver = [closure(math.sin(x)) for x in alphas]
@@ -180,7 +179,7 @@ def test_annulus_distortions_near_the_ends_of_the_angle_domain(band):
                   math.nextafter(math.pi / 2.0, 0.0)):
         assert math.sin(alpha) == 1.0
         values = [
-            annulus_distortions(rho1, rho2, [0.5, alpha], rho0)[1],
+            annulus_distortion(rho1, rho2, [0.5, alpha], rho0)[1],
             annulus_distortion(rho1, rho2, alpha, rho0),
             _distortion_in_a(rho1, rho2, rho0)(math.sin(alpha)),
         ]
@@ -209,7 +208,7 @@ def test_annulus_distortion_scalar_and_array_reject_alike(args, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         annulus_distortion(rho1, rho2, alpha, rho0)
     with pytest.raises(ValueError, match=f"^{message}$"):
-        annulus_distortions(rho1, rho2, [alpha], rho0)
+        annulus_distortion(rho1, rho2, [alpha], rho0)
 
 
 def _inside_band_lines(rng, lon_lo, lon_hi, count=6, vertices=40):

@@ -7,7 +7,6 @@ from conicmaps import (
     ProjectionParams,
     SphericalAnnulus,
     annulus_distortion,
-    annulus_distortions,
     bilipschitz_curve,
     compare_all,
     cone_through_parallels,
@@ -21,7 +20,7 @@ ENTRY_POINTS = {
     "SphericalAnnulus": SphericalAnnulus,
     "cone_through_parallels": cone_through_parallels,
     "annulus_distortion": lambda r1, r2: annulus_distortion(r1, r2, 0.9, 0.0),
-    "annulus_distortions": lambda r1, r2: annulus_distortions(r1, r2, [0.9], 0.0),
+    "annulus_distortions": lambda r1, r2: annulus_distortion(r1, r2, [0.9], 0.0),
     "optimal_alpha_by_root": optimal_alpha_by_root,
     "optimal_alpha_by_scan": optimal_alpha_by_scan,
     "bilipschitz_curve": lambda r1, r2: bilipschitz_curve(r1, r2, 5),

@@ -349,4 +349,4 @@ class TestLatitudeDomain:
     def test_an_inverted_band_keeps_the_band_message(self):
         res = run_cli("project", "--lat1", "100", "--lat2", "120", "--degrees")
         assert res.returncode == 2
-        assert res.stderr.startswith("error: invalid band: need -1 < rho1 < rho2 < 1")
+        assert res.stderr.startswith("error: need -1 < rho1 < rho2 < 1")

@@ -5,7 +5,7 @@ Each digest is the SHA-256 of the UTF-8 stdout of `conicmaps optimize --scan
 --samples=12001` or `conicmaps curves --samples=1201` on one of four bands:
 the canonical one, a wide band reaching below the equator, a band around the
 equator and a band near the pole.  The scan evaluates the array kernel of
-`annulus_distortions` at each sin(alpha) it prints; the curves take the six
+`annulus_distortion` at each sin(alpha) it prints; the curves take the six
 profiles' stretches.
 """
 

@@ -1,0 +1,90 @@
+"""`annulus_distortion` is the one entry for the conformal distortion, at a
+float or an array of angles, and the band's two logarithms and log F each
+have one owner, so the values built on them agree bit for bit."""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from conicmaps import (
+    ProjectionParams,
+    SphericalAnnulus,
+    annulus_distortion,
+    annulus_modulus,
+    lipschitz_constant,
+    log_squared_stretch,
+    make_profile,
+    optimal_alpha_by_root,
+)
+from conicmaps.distortion import _distortion_in_a
+from conicmaps.projections import KIND_TEICHMULLER
+from conftest import RHO1, RHO2
+
+NARROW = [(0.1, 0.1000000001), (0.3, 0.3000000000001)]
+NEAR_POLE = [(0.99999999, 0.999999991), (0.9999, 0.99995)]
+NEAR_ZERO_SUM = [(-0.3, 0.3000001), (-0.1, 0.1 + 1e-12)]
+BANDS = [(RHO1, RHO2)] + NARROW + NEAR_POLE + NEAR_ZERO_SUM
+
+
+def _bits(values):
+    """The float64 bit patterns, so that -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("band", BANDS)
+def test_a_float_or_0d_angle_gives_the_closures_float(band):
+    rho1, rho2 = band
+    closure = _distortion_in_a(rho1, rho2, rho1)
+    for alpha in (0.3, optimal_alpha_by_root(rho1, rho2), 1.2):
+        want = closure(math.sin(alpha))
+        for given in (alpha, np.float64(alpha), np.array(alpha)):
+            got = annulus_distortion(rho1, rho2, given, rho1)
+            assert type(got) is float
+            assert _bits(got) == _bits(want)
+
+
+def test_lists_and_arrays_give_the_flattened_1d_array():
+    alphas = [0.3, 0.6, 0.9, 1.2, 1.4, 1.5]
+    want = [annulus_distortion(RHO1, RHO2, x, RHO1) for x in alphas]
+    for given in (alphas, np.array(alphas), np.array(alphas).reshape(2, 3)):
+        got = annulus_distortion(RHO1, RHO2, given, RHO1)
+        assert got.dtype == np.float64 and got.shape == (len(alphas),)
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+    assert annulus_distortion(RHO1, RHO2, [], RHO1).shape == (0,)
+    assert annulus_distortion(RHO1, RHO2, np.empty((0, 3)), RHO1).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, math.pi / 2.0, -0.25])
+def test_the_first_bad_angle_is_named(bad):
+    message = rf"^alpha must lie in \(0, pi/2\), got {re.escape(str(bad))}$"
+    for given in (bad, [0.5, bad, 2.0], np.array([[0.5, bad], [-1.0, 0.7]])):
+        with pytest.raises(ValueError, match=message):
+            annulus_distortion(RHO1, RHO2, given, RHO1)
+
+
+def test_the_band_is_checked_before_the_angles_and_the_angles_before_rho0():
+    with pytest.raises(ValueError, match=r"^need -1 < rho1 < rho2 < 1, got \(0\.5, 0\.4\)$"):
+        annulus_distortion(0.5, 0.4, [0.5, math.nan], 1.0)
+    with pytest.raises(ValueError, match=r"^alpha must lie in \(0, pi/2\), got nan$"):
+        annulus_distortion(RHO1, RHO2, [0.5, math.nan], 1.0)
+    with pytest.raises(ValueError, match=r"^rho0 must lie in \(-1, 1\), got 1\.0$"):
+        annulus_distortion(RHO1, RHO2, [0.5, 0.9], 1.0)
+
+
+@pytest.mark.parametrize("band", BANDS)
+def test_teichmuller_modulus_is_annulus_modulus(band):
+    aux = make_profile(KIND_TEICHMULLER, ProjectionParams(*band)).aux
+    assert _bits(aux["mod_sphere"]) == _bits(annulus_modulus(SphericalAnnulus(*band)))
+
+
+@pytest.mark.parametrize("band", BANDS)
+def test_lipschitz_constant_is_the_root_of_the_squared_stretch(band):
+    rho1, rho2 = band
+    heights = [rho1, rho1 + 0.5 * (rho2 - rho1), rho2]
+    for alpha in (optimal_alpha_by_root(rho1, rho2), 0.3, 1.2):
+        for rho0 in (rho1, rho2, 0.0):
+            for rho in heights:
+                want = math.exp(0.5 * log_squared_stretch(rho, math.sin(alpha), rho0))
+                assert _bits(lipschitz_constant(rho, alpha, rho0)) == _bits(want)
