@@ -29,6 +29,7 @@ import numpy as np
 from . import projections
 from .distortion import (
     _distortions_at,
+    _downward_alpha,
     _require_positive,
     annulus_distortion,
     optimal_alpha_by_root,
@@ -248,21 +249,9 @@ def _samples(args: argparse.Namespace, default: int) -> int:
     return args.samples or default
 
 
-def _downward_alpha(rho1: float, rho2: float) -> float:
-    """The optimal half-apex angle, or a ValueError if its cone opens upward."""
-    alpha = optimal_alpha_by_root(rho1, rho2)
-    if alpha <= 0.0:
-        raise ValueError(
-            f"rho1 + rho2 = {rho1 + rho2:.6g} gives the optimal "
-            f"a0 = {math.sin(alpha):.6g} <= 0, an upward cone; the domain "
-            "needs rho1 + rho2 > 0"
-        )
-    return alpha
-
-
 def cmd_optimize(args: argparse.Namespace) -> int:
     n = _samples(args, 2001)
-    alpha_root = _downward_alpha(args.rho1, args.rho2)
+    alpha_root = _downward_alpha(args.rho1, args.rho2, optimal_alpha_by_root(args.rho1, args.rho2))
     alpha_scan = optimal_alpha_by_scan(args.rho1, args.rho2)
     delta_min = annulus_distortion(args.rho1, args.rho2, alpha_root, args.rho1)
     print(f"a0 = {math.sin(alpha_root):.10g}")
@@ -309,8 +298,6 @@ def cmd_project(args: argparse.Namespace) -> int:
         raise ValueError(f"--alpha must be finite, got {alpha}")
     if alpha is not None and args.degrees:
         alpha = math.radians(alpha)
-    if alpha is None and args.kind == projections.KIND_LAMBERT:
-        alpha = _downward_alpha(args.rho1, args.rho2)
     cut = math.radians(args.cut)
     profile = make_profile(args.kind, ProjectionParams(args.rho1, args.rho2, alpha))
     _require_positive(*profile.candidate_stretches()[1:])
@@ -335,7 +322,7 @@ def _reproduction_rows(rho1: float, rho2: float) -> list[tuple[str, float, float
     params = ProjectionParams(rho1, rho2)
     teichmuller = make_profile(projections.KIND_TEICHMULLER, params).aux
 
-    alpha_root = optimal_alpha_by_root(rho1, rho2)
+    alpha_root = _downward_alpha(rho1, rho2, optimal_alpha_by_root(rho1, rho2))
     alpha_scan = optimal_alpha_by_scan(rho1, rho2)
     delta_min = annulus_distortion(rho1, rho2, alpha_root, rho1)
     lambert_cone = cone_touching_parallel(alpha_root, rho1)

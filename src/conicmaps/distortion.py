@@ -185,6 +185,16 @@ def optimal_alpha_by_root(rho1: float, rho2: float) -> float:
     return math.asin(log_r / t)
 
 
+def _downward_alpha(rho1: float, rho2: float, alpha: float) -> float:
+    """``alpha`` of :func:`optimal_alpha_by_root`, which callers call where the
+    benchmark tracer times it, or a ValueError if its cone opens upward."""
+    if alpha <= 0.0:
+        raise ValueError(f"rho1 + rho2 = {rho1 + rho2:.6g} gives the optimal a0 = "
+                         f"{math.sin(alpha):.6g} <= 0, an upward cone; the domain needs "
+                         "rho1 + rho2 > 0")
+    return alpha
+
+
 def _golden_section(
     f: Callable[[float], float], lo: float, hi: float, tol: float, maximize: bool
 ) -> tuple[float, float]:

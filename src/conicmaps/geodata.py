@@ -4,8 +4,8 @@ Input coordinates are cartographic: longitude degrees in [-180, 180],
 latitude degrees in (-90, 90), converted once on projection to the internal
 (theta, rho) = (radians(lon) mod 2pi, sin(radians(lat))) coordinates.
 A polyline's vertices are a tuple of (lon, lat) tuples, as parsed from
-GeoJSON, or a read-only (n, 2) array, as the graticule builds them; either
-is checked on construction.  Clipping to the annulus and splitting at the
+GeoJSON, or a read-only (n, 2) array, as the graticule builds them; each
+vertex is checked once.  Clipping to the annulus and splitting at the
 cut meridian both happen in (longitude offset, rho) space, where the
 boundaries are coordinate-aligned; only the final step maps to the drawing
 plane.  Every stage is an array call over the vertices of all lines at once.
@@ -39,11 +39,18 @@ class GeoPolyline(_Record, eq=False):
     ``points`` is a sequence of pairs, stored as a tuple of float tuples, or
     an (n, 2) array, stored as a read-only float64 copy and checked in array
     calls.  Both forms reject the same input with the same message, naming
-    the first bad vertex.  Polylines compare by identity.
+    the first bad vertex; ``_checked`` stores 2 or more vertices checked in
+    that stored form as they are.  Polylines compare by identity.
     """
 
     name: str
     points: tuple | np.ndarray
+
+    @classmethod
+    def _checked(cls, name: str, points) -> GeoPolyline:
+        line = object.__new__(cls)
+        line.__dict__.update(name=name, points=points)
+        return line
 
     def __post_init__(self):
         try:
@@ -62,10 +69,7 @@ class GeoPolyline(_Record, eq=False):
         vertices = pts
         if isinstance(pts, np.ndarray):
             pts.flags.writeable = False
-            lon, lat = pts.T
-            # NaN fails both tests; the loop below words the first failure
-            inside = (np.abs(lon) <= 180.0) & (np.abs(lat) < 90.0)
-            vertices = pts[~inside][:1].tolist()
+            vertices = pts[~_inside(pts)][:1].tolist()  # the loop below words it
         for lon, lat in vertices:
             if not (math.isfinite(lon) and math.isfinite(lat)):
                 raise ValidationError(f"{self.name}: non-finite coordinate")
@@ -74,6 +78,12 @@ class GeoPolyline(_Record, eq=False):
             if not -90.0 < lat < 90.0:
                 raise ValidationError(f"{self.name}: latitude {lat} out of range")
         object.__setattr__(self, "points", pts)
+
+
+def _inside(pts: np.ndarray) -> np.ndarray:
+    """Which vertices of a (..., 2) array are in range; NaN fails both tests."""
+    lon, lat = pts.T
+    return (np.abs(lon) <= 180.0) & (np.abs(lat) < 90.0)
 
 
 class ParsedLines(_Record):
@@ -165,20 +175,22 @@ def parse_geojson_lines(document: str) -> ParsedLines:
     def _polyline(name, coords):
         if not isinstance(coords, list):
             raise ValidationError(f"{name}: bad coordinate array")
-        pts = []
+        pts, inside = [], True
         for c in coords:
-            if not (
-                type(c) is list
-                and len(c) >= 2
-                and type(c[0]) in _JSON_NUMBERS
-                and type(c[1]) in _JSON_NUMBERS
-            ):
+            if type(c) is not list or len(c) < 2:
                 raise ValidationError(f"{name}: bad coordinate {c!r:.60}")
-            try:
-                pts.append((float(c[0]), float(c[1])))
-            except OverflowError as exc:
-                raise ValidationError(f"{name}: coordinate {c!r:.60} out of range") from exc
-        return GeoPolyline(name, pts)
+            lon, lat = c[0], c[1]
+            if type(lon) is not float or type(lat) is not float:
+                if type(lon) not in _JSON_NUMBERS or type(lat) not in _JSON_NUMBERS:
+                    raise ValidationError(f"{name}: bad coordinate {c!r:.60}")
+                try:
+                    lon, lat = float(lon), float(lat)
+                except OverflowError as exc:
+                    raise ValidationError(f"{name}: coordinate {c!r:.60} out of range") from exc
+            inside = inside and -180.0 <= lon <= 180.0 and -90.0 < lat < 90.0  # NaN fails
+            pts.append((lon, lat))
+        make = GeoPolyline._checked if inside and len(pts) >= 2 else GeoPolyline
+        return make(name, tuple(pts))  # GeoPolyline words a failure
 
     def walk(node, name):
         ntype = node.get("type") if isinstance(node, dict) else None
@@ -212,18 +224,19 @@ def graticule(
     [-180, 180], so the +-180 meridian appears twice: once per edge of the
     developed sector.  Parallels sit at the two band boundaries plus every
     multiple of ``lat_step`` strictly inside the band.  All polylines are
-    densified to at most 0.25 degrees between vertices, and their points
-    are (n, 2) arrays, built by broadcasting one coordinate column against
-    the meridian longitudes or the parallel latitudes.
+    densified to at most 0.25 degrees between vertices; their points are
+    the rows of one read-only array per family, built by broadcasting and
+    checked once.
     """
     if lon_step <= 0.0 or lat_step <= 0.0:
         raise ValueError("graticule steps must be positive")
-    if abs(360.0 / lon_step - round(360.0 / lon_step)) > 1e-9:
+    if (n := round(360.0 / lon_step)) < 1 or abs(360.0 / lon_step - n) > 1e-9:
         raise ValueError(f"longitude step {lon_step} does not divide 360")
     lat1 = math.degrees(math.asin(annulus.rho1))
     lat2 = math.degrees(math.asin(annulus.rho2))
 
-    meridian_lons = -180.0 + np.arange(round(360.0 / lon_step) + 1) * lon_step
+    meridian_lons = -180.0 + np.arange(n + 1) * lon_step
+    meridian_lons[-1] = 180.0  # n * lon_step can round past 360
     lats = _frange_inclusive(lat1, lat2, _MAX_VERTEX_SPACING_DEG)
 
     parallel_lats = [lat1]
@@ -237,10 +250,12 @@ def graticule(
 
     meridians = np.stack(np.broadcast_arrays(meridian_lons[:, None], lats), axis=-1)
     parallels = np.stack(np.broadcast_arrays(lons, np.array(parallel_lats)[:, None]), axis=-1)
+    meridians.flags.writeable = parallels.flags.writeable = False
+    checked = _inside(meridians).all() and _inside(parallels).all()
+    make = GeoPolyline._checked if checked else GeoPolyline  # which words a failure
     return [
-        GeoPolyline(f"meridian {lon:g}", pts)
-        for lon, pts in zip(meridian_lons.tolist(), meridians)
-    ] + [GeoPolyline(f"parallel {lat:g}", pts) for lat, pts in zip(parallel_lats, parallels)]
+        make(f"meridian {lon:g}", pts) for lon, pts in zip(meridian_lons.tolist(), meridians)
+    ] + [make(f"parallel {lat:g}", pts) for lat, pts in zip(parallel_lats, parallels)]
 
 
 class ProjectedPaths(_Record):

@@ -38,6 +38,7 @@ from .conformal import lambert_chart
 from .distortion import (
     DistortionReport,
     StretchSample,
+    _downward_alpha,
     optimal_alpha_by_root,
     profile_distortion,
 )
@@ -211,11 +212,9 @@ def make_profile(kind: str, params: ProjectionParams) -> MeridianProfile:
     eps2 = math.acos(rho2)
 
     if kind == KIND_LAMBERT:
-        alpha0 = (
-            params.alpha_override
-            if params.alpha_override is not None
-            else optimal_alpha_by_root(rho1, rho2)
-        )
+        alpha0 = params.alpha_override
+        if alpha0 is None:
+            alpha0 = _downward_alpha(rho1, rho2, optimal_alpha_by_root(rho1, rho2))
         cone = lambert_chart(alpha0, rho1).cone
         a0 = math.sin(alpha0)
         s1 = _parallel_radius(rho1) / a0

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import A0, A0_ALT_RHO2, PUBLISHED
+from conicmaps.cli import main
 
 
 def run_cli(*args, cwd=None):
@@ -350,3 +351,34 @@ class TestLatitudeDomain:
         res = run_cli("project", "--lat1", "100", "--lat2", "120", "--degrees")
         assert res.returncode == 2
         assert res.stderr.startswith("error: need -1 < rho1 < rho2 < 1")
+
+
+# ROADMAP 2b: on (5e-324, 1e-323) the central kind comes first, and its cone's
+# apex overflows.
+APEX_OVERFLOWS = pytest.mark.xfail(strict=True, reason="non-finite coordinate: inf")
+
+
+class TestUpwardConeMessage:
+    """On a band in the domain whose optimal a0 rounds to 0, every subcommand
+    that needs the Lambert cone gives the one upward-cone message."""
+
+    COMMANDS = ("optimize", "table", "curves", "project", "reproduce")
+
+    @staticmethod
+    def message(total):
+        return (f"error: rho1 + rho2 = {total} gives the optimal a0 = 0 <= 0, an upward "
+                "cone; the domain needs rho1 + rho2 > 0\n")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a0_that_rounds_to_0(self, command, capsys):
+        assert main([command, "--rho1=0.0", "--rho2=1e-300"]) == 2
+        assert capsys.readouterr() == ("", self.message("1e-300"))
+
+    @pytest.mark.parametrize(
+        "command",
+        ["optimize", "project"]
+        + [pytest.param(c, marks=APEX_OVERFLOWS) for c in ("table", "curves", "reproduce")],
+    )
+    def test_subnormal_band(self, command, capsys):
+        assert main([command, "--rho1=5e-324", "--rho2=1e-323"]) == 2
+        assert capsys.readouterr() == ("", self.message("1.4822e-323"))
