@@ -35,7 +35,7 @@ from .distortion import (
     optimal_alpha_by_root,
     optimal_alpha_by_scan,
 )
-from .cone import cone_touching_parallel, second_intersection_height
+from .cone import second_intersection_height
 from .errors import NoIntersection, ParseError, ValidationError
 from .geodata import (
     CurveTable,
@@ -225,8 +225,7 @@ def scan_table(rho1: float, rho2: float, n: int = 2001) -> CurveTable:
 
 def sigma_table(rho1: float, rho2: float, n: int = 1001) -> CurveTable:
     """Bi-Lipschitz constant of the six kinds at n evenly spaced heights."""
-    params = ProjectionParams(rho1, rho2)
-    profiles = [make_profile(kind, params) for kind in projections.COMPARISON_ORDER]
+    profiles = list(projections._band_profiles(ProjectionParams(rho1, rho2)).values())
     rho = rho1 + (rho2 - rho1) * np.arange(n) / (n - 1)
     # A profile's bounds are cos(acos(rho)), which can sit an ulp inside the
     # band's edges; stretch_at clamps the same way.
@@ -319,13 +318,12 @@ def cmd_project(args: argparse.Namespace) -> int:
 
 def _reproduction_rows(rho1: float, rho2: float) -> list[tuple[str, float, float | None, float]]:
     """(target, reference, computed or None where undefined, tolerance) rows."""
-    params = ProjectionParams(rho1, rho2)
-    teichmuller = make_profile(projections.KIND_TEICHMULLER, params).aux
-
-    alpha_root = _downward_alpha(rho1, rho2, optimal_alpha_by_root(rho1, rho2))
+    profiles = projections._band_profiles(ProjectionParams(rho1, rho2))
+    teichmuller = profiles[projections.KIND_TEICHMULLER].aux
+    lambert_cone = profiles[projections.KIND_LAMBERT].cone
+    alpha_root = lambert_cone.alpha
     alpha_scan = optimal_alpha_by_scan(rho1, rho2)
     delta_min = annulus_distortion(rho1, rho2, alpha_root, rho1)
-    lambert_cone = cone_touching_parallel(alpha_root, rho1)
     try:
         upper = second_intersection_height(lambert_cone, rho1)
     except NoIntersection:  # the band reaches above the Lambert cone's apex
@@ -341,7 +339,8 @@ def _reproduction_rows(rho1: float, rho2: float) -> list[tuple[str, float, float
         ("min_distortion", delta_min),
         ("upper_intersection_height", upper),
     ]
-    for kind, report in compare_all(params):
+    for kind, profile in profiles.items():
+        report = projections._report(profile)
         rows.append((f"distortion {kind}", None if report is None else report.delta))
     return [
         (name, REPRODUCTION_TARGETS[name][0], value, REPRODUCTION_TARGETS[name][1])

@@ -153,7 +153,7 @@ def cone_through_parallels(rho1: float, rho2: float) -> Cone:
     With r_i = sqrt(1 - rho_i^2), tan(alpha) = (r1 - r2) / (rho2 - rho1) =
     (rho1 + rho2) / (r1 + r2), the second form free of cancellation.  It is a
     downward cone with apex above the sphere only when rho1 + rho2 > 0;
-    other height pairs are rejected.
+    other height pairs are rejected, and so are those whose apex overflows.
     """
     _check_band(rho1, rho2)
     r1 = _parallel_radius(rho1)
@@ -163,8 +163,13 @@ def cone_through_parallels(rho1: float, rho2: float) -> Cone:
             "parallels of equal or inverted radii (rho1 + rho2 <= 0) give a "
             "cylinder or an upward cone; not supported"
         )
-    alpha = math.atan(tana)
-    return Cone(alpha, rho1 + r1 / tana)
+    apex = rho1 + r1 / tana
+    if not math.isfinite(apex):
+        raise UnsupportedGeometry(
+            f"rho1 + rho2 = {rho1 + rho2:.6g} puts the apex of the cone through both "
+            "parallels at infinity; not supported"
+        )
+    return Cone(math.atan(tana), apex)
 
 
 def sphere_cone_intersections(c: Cone) -> tuple[float, float]:

@@ -145,7 +145,7 @@ def lambert_slant_distance(chart: LambertChart, epsilon: float) -> float:
 
 
 def _log_f(x: float, y: float, z: float) -> float:
-    """Unchecked log F(x, y, z) = log L(x)^2, with y = sin(alpha) and rho0 = z."""
+    """Unchecked log F(x, y, z) = log L(x)^2, y = sin(alpha) (float or array), rho0 = z."""
     return (1.0 + y) * (math.log1p(z) - math.log1p(x)) + (1.0 - y) * (
         math.log1p(-z) - math.log1p(-x)
     )

@@ -92,19 +92,6 @@ def squared_stretch(x: float, y: float, z: float) -> float:
     return math.exp(log_squared_stretch(x, y, z))
 
 
-def _log_terms(rho1: float, rho2: float, rho0: float) -> tuple[float, ...]:
-    """The log1p terms of log F(rho_i, a, rho0) that do not depend on a.
-
-    Returns lp0, lm0 = log1p(rho0), log1p(-rho0) and, for each edge,
-    p_i = lp0 - log1p(rho_i) and m_i = lm0 - log1p(-rho_i), so that
-    log F(rho_i, a, rho0) = (1 + a) p_i + (1 - a) m_i.  Callers check the heights.
-    """
-    lp0, lm0 = math.log1p(rho0), math.log1p(-rho0)
-    p1, m1 = lp0 - math.log1p(rho1), lm0 - math.log1p(-rho1)
-    p2, m2 = lp0 - math.log1p(rho2), lm0 - math.log1p(-rho2)
-    return lp0, lm0, p1, m1, p2, m2
-
-
 def _distortion_in_a(rho1: float, rho2: float, rho0: float) -> Callable[[float], float]:
     """Distortion as a function of a = sin(alpha), valid on all of [-1, 1].
 
@@ -113,11 +100,13 @@ def _distortion_in_a(rho1: float, rho2: float, rho0: float) -> Callable[[float],
     is interior, else at the nearer endpoint; the distortion is half the
     spread of log F because L = sqrt(F).  The returned function evaluates
     log F exactly as :func:`log_squared_stretch` does, with the log1p terms
-    that do not depend on a taken once, by :func:`_log_terms`.  Callers
+    that do not depend on a taken once, for the scan's 60-odd calls.  Callers
     check a; a = 1, sin(alpha) rounded within about 1e-8 of pi/2, takes the
     infimum at rho2 and needs no log1p(-a).
     """
-    lp0, lm0, p1, m1, p2, m2 = _log_terms(rho1, rho2, rho0)
+    lp0, lm0 = math.log1p(rho0), math.log1p(-rho0)
+    p1, m1 = lp0 - math.log1p(rho1), lm0 - math.log1p(-rho1)
+    p2, m2 = lp0 - math.log1p(rho2), lm0 - math.log1p(-rho2)
 
     def delta(a: float) -> float:
         f1 = (1.0 + a) * p1 + (1.0 - a) * m1
@@ -155,16 +144,16 @@ def annulus_distortion(rho1: float, rho2: float, alpha, rho0: float) -> float | 
 def _distortions_at(rho1: float, rho2: float, a: np.ndarray, rho0: float) -> np.ndarray:
     """The closure of :func:`_distortion_in_a` as array arithmetic in its own
     operation order, at each a of a 1-D array; callers check the arguments.
-    log1p(+-a) inside [rho1, rho2] stays in ``math``: ``np.log1p`` rounds otherwise."""
-    lp0, lm0, p1, m1, p2, m2 = _log_terms(rho1, rho2, rho0)
-    f1 = (1.0 + a) * p1 + (1.0 - a) * m1
-    f2 = (1.0 + a) * p2 + (1.0 - a) * m2
+    f1 and f2 are :func:`conformal._log_f` at the array a.  log1p(+-a) inside
+    [rho1, rho2] stays in ``math``: ``np.log1p`` rounds otherwise."""
+    f1, f2 = _log_f(rho1, a, rho0), _log_f(rho2, a, rho0)
     inf = np.where(a < rho1, f1, f2)
     inside = (rho1 <= a) & (a <= rho2)
     ai = a[inside]
     log_p = np.fromiter(map(math.log1p, ai.tolist()), float, ai.size)
     log_m = np.fromiter(map(math.log1p, (-ai).tolist()), float, ai.size)
-    inf[inside] = (1.0 + ai) * (lp0 - log_p) + (1.0 - ai) * (lm0 - log_m)
+    inf[inside] = ((1.0 + ai) * (math.log1p(rho0) - log_p)
+                   + (1.0 - ai) * (math.log1p(-rho0) - log_m))
     return 0.5 * (np.maximum(f1, f2) - inf)
 
 

@@ -27,6 +27,7 @@ from .sphere import SphericalAnnulus, _Record
 
 # Densification ceiling for generated polylines, in degrees of arc.
 _MAX_VERTEX_SPACING_DEG = 0.25
+_MAX_PARALLELS = 10_000  # inner parallels of a graticule, so a tiny lat_step fails fast
 
 # The JSON value types accepted as a coordinate; bool is excluded although it
 # is an int subclass.
@@ -223,10 +224,10 @@ def graticule(
     Meridians run at multiples of ``lon_step`` over the full inclusive range
     [-180, 180], so the +-180 meridian appears twice: once per edge of the
     developed sector.  Parallels sit at the two band boundaries plus every
-    multiple of ``lat_step`` strictly inside the band.  All polylines are
-    densified to at most 0.25 degrees between vertices; their points are
-    the rows of one read-only array per family, built by broadcasting and
-    checked once.
+    multiple of ``lat_step`` strictly inside the band, at most 10,000 of
+    them.  All polylines are densified to at most 0.25 degrees between
+    vertices; their points are the rows of one read-only array per family,
+    built by broadcasting and checked once.
     """
     if lon_step <= 0.0 or lat_step <= 0.0:
         raise ValueError("graticule steps must be positive")
@@ -234,18 +235,17 @@ def graticule(
         raise ValueError(f"longitude step {lon_step} does not divide 360")
     lat1 = math.degrees(math.asin(annulus.rho1))
     lat2 = math.degrees(math.asin(annulus.rho2))
+    if (lat2 - lat1) / lat_step > _MAX_PARALLELS:
+        raise ValueError(f"latitude step {lat_step} gives over {_MAX_PARALLELS:,} parallels")
 
     meridian_lons = -180.0 + np.arange(n + 1) * lon_step
     meridian_lons[-1] = 180.0  # n * lon_step can round past 360
     lats = _frange_inclusive(lat1, lat2, _MAX_VERTEX_SPACING_DEG)
 
-    parallel_lats = [lat1]
-    k = math.floor(lat1 / lat_step) + 1
-    while k * lat_step < lat2 - 1e-9:
-        if k * lat_step > lat1 + 1e-9:
-            parallel_lats.append(k * lat_step)
-        k += 1
-    parallel_lats.append(lat2)
+    # k * lat_step >= lat2 - 1e-9 for every k from ceil(lat2 / lat_step) on.
+    multiples = np.arange(math.floor(lat1 / lat_step) + 1, math.ceil(lat2 / lat_step)) * lat_step
+    inner = multiples[(multiples > lat1 + 1e-9) & (multiples < lat2 - 1e-9)]
+    parallel_lats = [lat1, *inner.tolist(), lat2]
     lons = _frange_inclusive(-180.0, 180.0, _MAX_VERTEX_SPACING_DEG)
 
     meridians = np.stack(np.broadcast_arrays(meridian_lons[:, None], lats), axis=-1)

@@ -326,17 +326,24 @@ def stretch_at(profile: MeridianProfile, rho: float) -> StretchSample:
     return StretchSample(rho, h_m, h_p, sigma)
 
 
+def _band_profiles(params: ProjectionParams) -> dict[str, MeridianProfile]:
+    """The six kinds' profiles of the band, keyed in the comparison order.
+    The Lambert one is built first, so a band it rejects gives its error."""
+    lambert = make_profile(KIND_LAMBERT, params)
+    return {k: lambert if k == KIND_LAMBERT else make_profile(k, params) for k in COMPARISON_ORDER}
+
+
+def _report(profile: MeridianProfile) -> DistortionReport | None:
+    """``profile_distortion`` of the profile, or None where it raises
+    NonPositiveStretch: a kind whose stretch is not positive somewhere on the
+    band is no map of it, as delisle-equidistant on (-0.6, 0.998)."""
+    try:
+        return profile_distortion(profile)
+    except NonPositiveStretch:
+        return None
+
+
 def compare_all(params: ProjectionParams) -> list[tuple[str, DistortionReport | None]]:
-    """(kind, distortion report) of all six kinds, in the fixed comparison
-    order.  A kind whose stretch is not positive somewhere on the band is no
-    map of it: ``profile_distortion`` raises NonPositiveStretch and the report
-    is None, as for delisle-equidistant on (-0.6, 0.998)."""
-    rows = []
-    for kind in COMPARISON_ORDER:
-        profile = make_profile(kind, params)
-        try:
-            report = profile_distortion(profile)
-        except NonPositiveStretch:
-            report = None
-        rows.append((kind, report))
-    return rows
+    """(kind, distortion report or None) of all six kinds, in the fixed
+    comparison order, from :func:`_band_profiles` and :func:`_report`."""
+    return [(kind, _report(profile)) for kind, profile in _band_profiles(params).items()]

@@ -104,6 +104,9 @@ def test_annulus_distortions_checks_every_angle():
 # Bands down to 1e-10 wide and within 1e-8 of the pole, where the interior
 # branch's log1p(a) and log1p(-a) decide the last bits.
 SCAN_BANDS = BANDS + [(0.1, 0.1000000001), (0.99999999, 0.999999991)]
+# And bands at both ends of the float range, where the log1p terms of
+# conformal._log_f are extreme.
+EXTREME_BANDS = SCAN_BANDS + [(1e-300, 2e-300), (0.9999999999999998, 0.9999999999999999)]
 
 
 def _bits(values):
@@ -122,7 +125,7 @@ def _assert_matches_scalar_paths(rho1, rho2, alphas, rho0):
         np.testing.assert_array_equal(_bits(got), _bits(values))
 
 
-@pytest.mark.parametrize("band", SCAN_BANDS)
+@pytest.mark.parametrize("band", EXTREME_BANDS)
 def test_annulus_distortions_bit_identical_on_seeded_angles(band):
     rng = np.random.default_rng(8)
     alphas = rng.uniform(0.0, math.pi / 2.0, 1500)
@@ -165,7 +168,7 @@ def test_annulus_distortions_bit_identical_where_both_edges_tie(band):
         assert ties > 0
 
 
-@pytest.mark.parametrize("band", SCAN_BANDS)
+@pytest.mark.parametrize("band", EXTREME_BANDS)
 def test_annulus_distortions_near_the_ends_of_the_angle_domain(band):
     tiny = [5e-324, 1e-300, 1e-200, 1e-16, 1e-13, 1e-12]
     _assert_matches_scalar_paths(band[0], band[1], tiny, band[0])
@@ -635,6 +638,15 @@ def _list_graticule(lon_step, lat_step, annulus):
     for k in range(round(360.0 / lon_step) + 1):
         lon = -180.0 + k * lon_step
         out.append((f"meridian {lon:g}", [(lon, lat) for lat in lats]))
+    lons = frange(-180.0, 180.0)
+    for lat in _list_parallel_lats(lat1, lat2, lat_step):
+        out.append((f"parallel {lat:g}", [(lon, lat) for lon in lons]))
+    return out
+
+
+def _list_parallel_lats(lat1, lat2, lat_step):
+    """The band's edges and every multiple of lat_step strictly inside it,
+    one multiple at a time."""
     parallel_lats = [lat1]
     k = math.floor(lat1 / lat_step) + 1
     while k * lat_step < lat2 - 1e-9:
@@ -642,10 +654,7 @@ def _list_graticule(lon_step, lat_step, annulus):
             parallel_lats.append(k * lat_step)
         k += 1
     parallel_lats.append(lat2)
-    lons = frange(-180.0, 180.0)
-    for lat in parallel_lats:
-        out.append((f"parallel {lat:g}", [(lon, lat) for lon in lons]))
-    return out
+    return parallel_lats
 
 
 GRATICULE_BANDS = [
@@ -668,6 +677,22 @@ def test_graticule_matches_list_reference_bit_for_bit(band, lon_step):
         assert isinstance(line.points, np.ndarray)
         want = np.array(vertices, dtype=float).view(np.int64)
         np.testing.assert_array_equal(line.points.view(np.int64), want)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_graticule_parallels_match_list_reference_on_random_bands_and_steps(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        rho1, rho2 = np.sort(rng.uniform(-0.99, 0.99, 2)).tolist()
+        if rng.random() < 0.5:  # narrow, so that the multiples' k are large
+            rho2 = rho1 + 10.0 ** rng.uniform(-13.0, -3.0)
+        lat1, lat2 = (math.degrees(math.asin(r)) for r in (rho1, rho2))
+        lat_step = (lat2 - lat1) / rng.uniform(0.5, 300.0)
+        want = _list_parallel_lats(lat1, lat2, lat_step)
+        parallels = graticule(90.0, lat_step, SphericalAnnulus(rho1, rho2))[5:]
+        assert [line.name for line in parallels] == [f"parallel {lat:g}" for lat in want]
+        for line, lat in zip(parallels, want):
+            assert (line.points[:, 1].view(np.int64) == _bits(lat)).all()
 
 
 BAD_POLYLINES = [

@@ -353,11 +353,6 @@ class TestLatitudeDomain:
         assert res.stderr.startswith("error: need -1 < rho1 < rho2 < 1")
 
 
-# ROADMAP 2b: on (5e-324, 1e-323) the central kind comes first, and its cone's
-# apex overflows.
-APEX_OVERFLOWS = pytest.mark.xfail(strict=True, reason="non-finite coordinate: inf")
-
-
 class TestUpwardConeMessage:
     """On a band in the domain whose optimal a0 rounds to 0, every subcommand
     that needs the Lambert cone gives the one upward-cone message."""
@@ -374,11 +369,28 @@ class TestUpwardConeMessage:
         assert main([command, "--rho1=0.0", "--rho2=1e-300"]) == 2
         assert capsys.readouterr() == ("", self.message("1e-300"))
 
-    @pytest.mark.parametrize(
-        "command",
-        ["optimize", "project"]
-        + [pytest.param(c, marks=APEX_OVERFLOWS) for c in ("table", "curves", "reproduce")],
-    )
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_subnormal_band(self, command, capsys):
         assert main([command, "--rho1=5e-324", "--rho2=1e-323"]) == 2
         assert capsys.readouterr() == ("", self.message("1.4822e-323"))
+
+    @pytest.mark.parametrize("band", [(-0.5, 0.3), (-0.3, 0.3), (0.0, 1e-300), (5e-324, 1e-323)])
+    def test_every_subcommand_words_the_band_as_optimize_does(self, band, capsys):
+        """The Lambert profile is built first, so no other kind's cone words
+        the error, as the cylinder message did on (-0.5, 0.3)."""
+        args = [f"--rho1={band[0]!r}", f"--rho2={band[1]!r}"]
+        assert main(["optimize", *args]) == 2
+        want = capsys.readouterr()
+        assert want.out == "" and "an upward cone" in want.err
+        for command in ("table", "curves", "reproduce", "project"):
+            assert main([command, *args]) == 2
+            assert capsys.readouterr() == want, command
+
+    @pytest.mark.parametrize(
+        "kind", ["central", "delisle", "delisle-equidistant", "orthogonal", "teichmuller"]
+    )
+    def test_a_cone_through_both_parallels_with_its_apex_at_infinity(self, kind, capsys):
+        assert main(["project", "--kind", kind, "--rho1=5e-324", "--rho2=1e-323"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: rho1 + rho2 = 1.4822e-323 puts the apex of the cone through both "
+            "parallels at infinity; not supported\n")

@@ -129,6 +129,11 @@ class TestConeThroughParallels:
         with pytest.raises(UnsupportedGeometry):
             cone_through_parallels(-0.4, 0.4)
 
+    def test_apex_at_infinity_rejected(self):
+        # tan(alpha) = 5e-324, so r1 / tan(alpha) overflows
+        with pytest.raises(UnsupportedGeometry, match=r"^rho1 \+ rho2 = 1\.4822e-323 puts"):
+            cone_through_parallels(5e-324, 1e-323)
+
 
 class TestIntersections:
     def test_lambert_cone_heights(self):

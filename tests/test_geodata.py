@@ -1,5 +1,6 @@
 import json
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -136,6 +137,22 @@ class TestGraticule:
             graticule(10.0, -1.0, ANNULUS)
         with pytest.raises(ValueError):
             graticule(7.0, 5.0, ANNULUS)  # does not divide 360
+
+    @pytest.mark.parametrize("lat_step", [6e-4, 1e-300, 5e-324])
+    def test_a_latitude_step_with_over_10000_parallels_is_rejected(self, lat_step):
+        # A loop over every multiple of 1e-300 would not return; the alarm
+        # turns one into a failure.
+        def expire(signum, frame):
+            raise TimeoutError("graticule did not return within 5 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(5)
+        try:
+            with pytest.raises(ValueError, match=r"^latitude step \S+ gives over 10,000 parallels$"):
+                graticule(10.0, lat_step, SphericalAnnulus(0.5, 0.6))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestProjectPolylines:

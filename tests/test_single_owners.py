@@ -1,6 +1,7 @@
 """`annulus_distortion` is the one entry for the conformal distortion, at a
 float or an array of angles, and the band's two logarithms and log F each
-have one owner, so the values built on them agree bit for bit."""
+have one owner, so the values built on them agree bit for bit.  A band's six
+profiles are built once, the Lambert one first."""
 
 import math
 import re
@@ -18,8 +19,9 @@ from conicmaps import (
     make_profile,
     optimal_alpha_by_root,
 )
+from conicmaps import cli, projections
 from conicmaps.distortion import _distortion_in_a
-from conicmaps.projections import KIND_TEICHMULLER
+from conicmaps.projections import COMPARISON_ORDER, KIND_LAMBERT, KIND_TEICHMULLER
 from conftest import RHO1, RHO2
 
 NARROW = [(0.1, 0.1000000001), (0.3, 0.3000000000001)]
@@ -88,3 +90,36 @@ def test_lipschitz_constant_is_the_root_of_the_squared_stretch(band):
             for rho in heights:
                 want = math.exp(0.5 * log_squared_stretch(rho, math.sin(alpha), rho0))
                 assert _bits(lipschitz_constant(rho, alpha, rho0)) == _bits(want)
+
+
+def _record_calls(monkeypatch, name):
+    """Patch ``name`` in `cli` and `projections`, where the program looks it
+    up, to record the first argument of each call."""
+    calls = []
+    original = getattr(projections, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for module in (cli, projections):
+        monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+LAMBERT_FIRST = [KIND_LAMBERT] + [k for k in COMPARISON_ORDER if k != KIND_LAMBERT]
+
+
+def test_reproduce_builds_each_profile_and_the_root_once(monkeypatch, capsys):
+    kinds = _record_calls(monkeypatch, "make_profile")
+    roots = _record_calls(monkeypatch, "optimal_alpha_by_root")
+    assert cli.main(["reproduce"]) == 0
+    assert kinds == LAMBERT_FIRST
+    assert roots == [RHO1]
+
+
+@pytest.mark.parametrize("command", ["table", "curves"])
+def test_table_and_curves_build_the_lambert_profile_first(command, monkeypatch, capsys):
+    kinds = _record_calls(monkeypatch, "make_profile")
+    assert cli.main([command]) == 0
+    assert kinds == LAMBERT_FIRST
