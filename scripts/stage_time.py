@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the map stages of one or more `conicmaps` source trees, side by side.
+"""Time the map and CSV stages of one or more `conicmaps` source trees, side
+by side.
 
 For each `src/` directory given, a fresh interpreter imports `conicmaps`
 from it and times `parse_geojson_lines`, `graticule`, `project_polylines`
@@ -7,7 +8,11 @@ and `render_svg` on the inputs of one `conicmaps project` call of the
 `maps` benchmark workload: the seeded coastline of
 `benchmarks/workloads.coastline(seed)` and the canonical band, Lambert
 kind, cut at 180 degrees.  `project_polylines` is its two calls, graticule
-and coastline.  A child times each stage in 3 timeit loops of the call
+and coastline.  It also times `write_csv`, into a `StringIO`, of the two
+CSVs of a `curves` workload operation on the canonical band:
+`scan_table` of `SCAN_SAMPLES` (12,001) points, as `optimize --scan`
+writes, and `sigma_table` of `CURVES_SAMPLES` (1,201) heights, as
+`curves` writes.  A child times each stage in 3 timeit loops of the call
 count `Timer.autorange` picks (at least 0.2 s of calls) and keeps the best.
 The directories take turns, one fresh interpreter each, for 7 rounds, and
 the best of the 21 loops of each stage is printed in milliseconds per call.
@@ -29,13 +34,14 @@ ROUNDS = 7
 # Runs in the child: argv is (src directory, benchmarks directory, seed);
 # prints {stage: seconds per call}.
 CHILD = r"""
-import json, math, sys, timeit
+import io, json, math, sys, timeit
 REPEAT = 3
 sys.dont_write_bytecode = True  # leave no cache files under benchmarks/
 sys.path[:0] = sys.argv[1:3]
-from workloads import CANONICAL, coastline
+from workloads import CANONICAL, CURVES_SAMPLES, SCAN_SAMPLES, coastline
+from conicmaps.cli import scan_table, sigma_table
 from conicmaps.geodata import (
-    SvgStyle, graticule, parse_geojson_lines, project_polylines, render_svg)
+    SvgStyle, graticule, parse_geojson_lines, project_polylines, render_svg, write_csv)
 from conicmaps.projections import ProjectionParams, make_profile
 from conicmaps.sphere import SphericalAnnulus
 
@@ -52,11 +58,15 @@ def project():
 grid_paths, coast_paths = project()
 groups = [(SvgStyle(stroke="#999999", stroke_width=0.0015), grid_paths),
           (SvgStyle(stroke="black", stroke_width=0.003), coast_paths)]
+scan = scan_table(*CANONICAL, SCAN_SAMPLES)
+sigma = sigma_table(*CANONICAL, CURVES_SAMPLES)
 stages = {
     "parse_geojson_lines": lambda: parse_geojson_lines(document),
     "graticule": lambda: graticule(10.0, 5.0, annulus),
     "project_polylines": project,
     "render_svg": lambda: render_svg(groups),
+    "write_csv scan": lambda: write_csv(scan, io.StringIO()),
+    "write_csv sigma": lambda: write_csv(sigma, io.StringIO()),
 }
 out = {}
 for name, fn in stages.items():

@@ -36,7 +36,7 @@ from .distortion import (
     optimal_alpha_by_scan,
 )
 from .cone import second_intersection_height
-from .errors import NoIntersection, ParseError, ValidationError
+from .errors import NoIntersection, ParseError, UnsupportedGeometry, ValidationError
 from .geodata import (
     CurveTable,
     SvgStyle,
@@ -302,6 +302,9 @@ def cmd_project(args: argparse.Namespace) -> int:
     _require_positive(*profile.candidate_stretches()[1:])
     annulus = SphericalAnnulus(args.rho1, args.rho2)
     grat = project_polylines(profile, graticule(10.0, 5.0, annulus), cut)
+    if not grat.paths:  # the clip to the profile's band dropped every line
+        raise UnsupportedGeometry(f"rho1 = {args.rho1:.6g} and rho2 = {args.rho2:.6g} give a band "
+                                  "whose graticule projects to no path; not supported")
     overlays = []
     if args.geojson:
         try:

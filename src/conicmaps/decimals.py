@@ -1,15 +1,15 @@
 """Exact array-valued decimal text: ``'%.17g' % v`` and ``'%.8f' % v`` of
 every value of a float array, byte for byte, without a call per value.
 
-Each value is scaled by a power of ten as an exact double-double (hi, lo)
-with Dekker's two-product and rounded half to even to an integer, whose
-digits come from 32-bit integer division by constants, eight digits at a
-time.  The text of a chunk of values is laid out in a column-major uint8
-array, one column a value, with a mask of the bytes that belong to it; the
-'%.8f' frame has as many integer-digit rows as the chunk's widest rounded
-integer part needs.  A value outside a format's fast domain is formatted by
-``%`` itself and spliced into place.  This is the one number writer of the
-CSV and SVG output (see ``geodata.write_csv`` and ``geodata.render_svg``).
+Each value is scaled by a power of ten and rounded half to even to an
+integer, exactly: '%.17g' forms the remainder of the double product
+(Dekker's two-product), '%.8f' only at ties.  Digits come from 32-bit
+integer division by constants, eight at a time.  A chunk's text is laid out
+in a column-major uint8 array, one column a value, with a mask of its bytes;
+the '%.8f' frame has as many integer-digit rows as its widest rounded integer
+part needs, and one ``np.take`` fills the separator rows.  A value outside a
+format's fast domain is formatted by ``%`` and spliced in.  This is the one
+number writer of the CSV and SVG output (``geodata.write_csv``, ``render_svg``).
 """
 
 from __future__ import annotations
@@ -119,12 +119,12 @@ def _g17_frame(ax: np.ndarray, sep_width: int):
     np.subtract(a[1:], a[:-1], out=frame)
     frame *= _ROWS <= 4 + x
     frame += a[:-1]
-    frame -= (_ROWS == 5 + x) * (frame - _POINT)
+    frame[5 + x, np.arange(len(ax))] = _POINT
     frame += ord("0")
-    # The text runs from "0" (x < 0) or the leading digit to the last
-    # nonzero digit after the point, or to the units digit if there is none.
-    np.greater_equal(_ROWS, 4 + np.minimum(x, 0), out=frame_keep)
-    frame_keep &= _ROWS <= np.where(last <= 5 + x, 4 + x, last)
+    # The text runs from "0" (x < 0) or the leading digit (row 4 + min(x, 0)
+    # <= 4) to the last nonzero digit after the point, else to the units digit.
+    np.less_equal(_ROWS, np.where(last <= 5 + x, 4 + x, last), out=frame_keep)
+    frame_keep[:4] &= _ROWS[:4] >= 4 + np.minimum(x, 0)
     return text, keep
 
 
@@ -136,14 +136,16 @@ def _f8_frame(ax: np.ndarray, sep_width: int):
     units part has, the point and eight decimals.  ``keep`` drops each
     value's zeros before its units digit.
     """
-    hi, lo = _times_pow10(ax, 8)
+    hi = ax * _POW10[8]
     m = np.rint(hi)
-    # hi - m is exact; only on a tie of hi does lo decide, and it rounds
-    # away from m when it points away from m.
-    off = hi - m
-    tie = np.flatnonzero((np.abs(off) == 0.5) & (lo * off > 0.0))
-    m[tie] += 2.0 * off[tie]
-    del hi, lo, off
+    # hi - m is exact.  Every half-integer below 2**52 is a double and rounding
+    # is monotone, so the exact remainder lo can change m only where hi is a
+    # tie; there it rounds away from m when it points away from m.
+    tie = np.flatnonzero(np.abs(hi - m) == 0.5)
+    if len(tie):
+        off = hi[tie] - m[tie]
+        m[tie] += 2.0 * off * (_times_pow10(ax[tie], 8)[1] * off > 0.0)
+    del hi
     # The units are rounded first, so that the text is allocated at its
     # final height: units < 2**52 / 1e8 < 10**8 has at most eight digits.
     m = m.astype(np.int64)
@@ -185,11 +187,11 @@ def decimal_chunks(values: np.ndarray, spec: str, seps: tuple, ends):
 
     Each chunk of rows is laid out column-major, one column of bytes a
     value: the sign, the frame of the number's digits and point, and the
-    separator, with a mask of the bytes that belong to the text, which one
-    boolean index compacts.  The digits come from exact integer arithmetic
-    on the value scaled by a power of ten (see ``_times_pow10``).  A value
-    outside the format's fast domain (zero, subnormals, exponent notation,
-    large or non-finite values) is formatted by ``%`` and spliced in.
+    separator, filled by one ``np.take``, with a mask of the text's bytes,
+    which one boolean index compacts.  The digits come from exact integer
+    arithmetic on the value scaled by a power of ten (see ``_times_pow10``).
+    A value outside the format's fast domain (zero, subnormals, exponent
+    notation, large or non-finite values) is formatted by ``%`` and spliced in.
     """
     build_text, fast_domain = _FORMATS[spec]
     encoded = [s.encode("ascii") for s in seps]
@@ -212,13 +214,13 @@ def decimal_chunks(values: np.ndarray, spec: str, seps: tuple, ends):
         # keep[0] is a contiguous row: numpy 2.4.6's signbit writes wrong
         # values into a strided bool ``out`` of 16 or more elements.
         np.signbit(x, out=keep[0])
-        # A NUL marks where each value outside the domain goes.
-        text[0, outside] = 0
-        keep[:, outside] = False
-        keep[0, outside] = True
+        if len(outside):  # a NUL marks where each value outside the domain goes
+            text[0, outside] = 0
+            keep[:, outside] = False
+            keep[0, outside] = True
         body = len(text) - sep_width
-        text[body:] = sep_bytes[:, ids]
-        keep[body:] = sep_keep[:, ids]
+        np.take(sep_bytes, ids, axis=1, out=text[body:])
+        np.take(sep_keep, ids, axis=1, out=keep[body:])
         text = text.T[keep.T].tobytes().decode("ascii")
         if len(outside):
             parts = text.split("\0")

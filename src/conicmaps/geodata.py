@@ -398,8 +398,8 @@ def write_csv(table: CurveTable, dest) -> None:
     byte for byte ``'%.17g' % v`` of every value, written chunk by chunk by
     the array decimal writer ``decimal_chunks``.
     """
-    ends = np.zeros(len(table.columns), np.uint8)
-    ends[-1:] = 1
+    ends = np.zeros(table.values.shape, np.uint8)  # a broadcast row's chunks ravel by copying
+    ends[:, -1:] = 1
     body = decimal_chunks(table.values, "%.17g", (",", "\n"), ends)
     if not table.columns:  # rows of no values are empty lines
         body = ["\n" * len(table.values)]

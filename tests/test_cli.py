@@ -394,3 +394,12 @@ class TestUpwardConeMessage:
         assert capsys.readouterr() == (
             "", "error: rho1 + rho2 = 1.4822e-323 puts the apex of the cone through both "
             "parallels at infinity; not supported\n")
+
+    @pytest.mark.parametrize("kind", ["central", "delisle", "delisle-equidistant", "orthogonal"])
+    def test_a_band_whose_graticule_projects_to_no_path(self, kind, capsys):
+        """On (0, 1e-300) these kinds' profiles clip every graticule line away:
+        an empty map is an error, not a drawing of nothing."""
+        assert main(["project", "--kind", kind, "--rho1=0.0", "--rho2=1e-300"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: rho1 = 0 and rho2 = 1e-300 give a band whose graticule projects to "
+            "no path; not supported\n")

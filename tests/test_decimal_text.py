@@ -10,6 +10,7 @@ templates they used before.
 """
 
 import io
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -221,6 +222,20 @@ def random_paths(rng, count, max_points):
     ]
 
 
+def product_ties():
+    """The 5,003 values v within 40 doubles of (k + 1/2) / 1e8 whose double
+    product v * 1e8 is exactly k + 1/2 while the exact product is not, for
+    3,000 seeded k below 2**40 and k = 0..1999: only the exact remainder of
+    the product rounds them as '%.8f' does, and a plain rint(v * 1e8)
+    rounds about half of them the wrong way."""
+    seeded = np.random.default_rng(5).integers(0, 2**40, 3000)
+    halves = np.concatenate((seeded, np.arange(2000))) + 0.5
+    values = neighbours(halves / 1e8, 40)
+    values = values[values * 1e8 == np.tile(halves, 81)]
+    inexact = [Fraction(v) * 10**8 != Fraction(v * 1e8) for v in values.tolist()]
+    return values[inexact]
+
+
 SVG_CASES = {
     "one-point paths": lambda rng: [(SvgStyle(), [[(0.5, -0.5)], [(1e-9, 2.0)]])],
     "negative zeros": lambda rng: [(SvgStyle(), [[(-0.0, 0.0), (0.0, -0.0), (-1e-12, 1e-12)]])],
@@ -244,6 +259,9 @@ SVG_CASES = {
     ],
     "a chunk of points and one more": lambda rng: [
         (SvgStyle(), [rng.uniform(-2.0, 2.0, (_CHUNK_VALUES // 2 + 1, 2))])
+    ],
+    "ties of the double product only": lambda rng: [
+        (SvgStyle(), [signed(product_ties()).reshape(-1, 2)])
     ],
 }
 
