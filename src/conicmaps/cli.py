@@ -257,8 +257,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     print(f"alpha0 = {alpha_root:.10g} rad = {_degree_minutes(alpha_root)}")
     print(f"delta_min = {delta_min:.10g}")
     print(f"root/scan agreement = {abs(alpha_root - alpha_scan):.3g} rad")
-    if args.scan or args.csv:
-        write_csv(scan_table(args.rho1, args.rho2, n), args.csv or sys.stdout)
+    if args.scan or args.csv is not None:
+        write_csv(scan_table(args.rho1, args.rho2, n),
+                  sys.stdout if args.csv is None else args.csv)
     return 0
 
 
@@ -277,7 +278,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         cells = "".join(f"{' ' + format(v, '.10f'):>14}" for v in (delta, sup, inf))
         print(f"{kind:<22}{cells}")
         rows.append((i, delta, sup, inf))
-    if args.csv:
+    if args.csv is not None:
         columns = ("kind_index", "distortion", "sup_stretch", "inf_stretch")
         write_csv(CurveTable(columns, rows), args.csv)
     return 0
@@ -285,7 +286,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_curves(args: argparse.Namespace) -> int:
     n = _samples(args, 1001)
-    write_csv(sigma_table(args.rho1, args.rho2, n), args.csv or sys.stdout)
+    write_csv(sigma_table(args.rho1, args.rho2, n), sys.stdout if args.csv is None else args.csv)
     return 0
 
 
@@ -306,7 +307,7 @@ def cmd_project(args: argparse.Namespace) -> int:
         raise UnsupportedGeometry(f"rho1 = {args.rho1:.6g} and rho2 = {args.rho2:.6g} give a band "
                                   "whose graticule projects to no path; not supported")
     overlays = []
-    if args.geojson:
+    if args.geojson is not None:
         try:
             with open(args.geojson, "r", encoding="utf-8") as fh:
                 parsed = parse_geojson_lines(fh.read())
@@ -315,7 +316,7 @@ def cmd_project(args: argparse.Namespace) -> int:
         coast = project_polylines(profile, parsed.lines, cut)
         overlays.append((SvgStyle(stroke="black", stroke_width=0.003), coast.paths))
     groups = [(SvgStyle(stroke="#999999", stroke_width=0.0015), grat.paths), *overlays]
-    _write_text([render_svg(groups)], args.out or sys.stdout, "SVG")
+    _write_text([render_svg(groups)], sys.stdout if args.out is None else args.out, "SVG")
     return 0
 
 

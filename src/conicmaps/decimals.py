@@ -5,11 +5,12 @@ Each value is scaled by a power of ten and rounded half to even to an
 integer, exactly: '%.17g' forms the remainder of the double product
 (Dekker's two-product), '%.8f' only at ties.  Digits come from 32-bit
 integer division by constants, eight at a time.  A chunk's text is laid out
-in a column-major uint8 array, one column a value, with a mask of its bytes;
-the '%.8f' frame has as many integer-digit rows as its widest rounded integer
-part needs, and one ``np.take`` fills the separator rows.  A value outside a
-format's fast domain is formatted by ``%`` and spliced in.  This is the one
-number writer of the CSV and SVG output (``geodata.write_csv``, ``render_svg``).
+in one column-major uint8 array, one column a value, where a zero byte is not
+text and one ``bytes.translate`` drops the zeros; the '%.8f' frame has as
+many integer-digit rows as its widest rounded integer part needs, and one
+``np.take`` fills the separator rows.  A value outside a format's fast domain
+is formatted by ``%`` and spliced in.  This is the one number writer of the
+CSV and SVG output (``geodata.write_csv``, ``render_svg``).
 """
 
 from __future__ import annotations
@@ -61,11 +62,11 @@ def _digit_rows(r: np.ndarray, out: np.ndarray) -> None:
     np.subtract(pairs, 10 * out[0::2], out=out[1::2])
 
 
-def _text_rows(width: int, n: int, sep_width: int):
-    """The uninitialised (text, keep) arrays of a chunk of n values: a sign
-    row, ``width`` frame rows and ``sep_width`` separator rows."""
-    shape = (1 + width + sep_width, n)
-    return np.empty(shape, np.uint8), np.empty(shape, bool)
+def _text_rows(width: int, n: int, sep_width: int) -> np.ndarray:
+    """The uninitialised text array of a chunk of n values, one column a
+    value: a sign row, ``width`` frame rows and ``sep_width`` separator rows.
+    A zero byte is not text."""
+    return np.empty((1 + width + sep_width, n), np.uint8)
 
 
 # Row numbers of a frame, and the digit value that '0' turns into '.'.
@@ -74,9 +75,9 @@ _POINT = np.uint8(ord(".") - ord("0") + 256)
 
 
 def _g17_frame(ax: np.ndarray, sep_width: int):
-    """'%.17g' of each ax in [1e-4, 1e16): the chunk's (text, keep) arrays
-    (see ``_text_rows``) with the 22-row frame filled in as ASCII, whose
-    ``keep`` rows are the number's text.
+    """'%.17g' of each ax in [1e-4, 1e16): the chunk's text array (see
+    ``_text_rows``) with the 22-row frame filled in: the number's text as
+    ASCII, and zero bytes in the rows around it.
 
     In this range %.17g is fixed notation: the 17 significant digits D of
     ax = D * 10**(X - 16), a point after the units digit, "0." and zeros
@@ -112,8 +113,8 @@ def _g17_frame(ax: np.ndarray, sep_width: int):
     del d, high, lead, rest
     last = ((a[6:22] != 0) * _ROWS[6:22]).max(axis=0)  # the last nonzero digit
     np.maximum(last, 5, out=last)
-    text, keep = _text_rows(22, len(ax), sep_width)
-    frame, frame_keep = text[1:23], keep[1:23]
+    text = _text_rows(22, len(ax), sep_width)
+    frame = text[1:23]
     # Row r of the text is a[r + 1] up to the units digit (row 4 + x), then
     # the point, then a[r].
     np.subtract(a[1:], a[:-1], out=frame)
@@ -123,18 +124,18 @@ def _g17_frame(ax: np.ndarray, sep_width: int):
     frame += ord("0")
     # The text runs from "0" (x < 0) or the leading digit (row 4 + min(x, 0)
     # <= 4) to the last nonzero digit after the point, else to the units digit.
-    np.less_equal(_ROWS, np.where(last <= 5 + x, 4 + x, last), out=frame_keep)
-    frame_keep[:4] &= _ROWS[:4] >= 4 + np.minimum(x, 0)
-    return text, keep
+    frame *= _ROWS <= np.where(last <= 5 + x, 4 + x, last)
+    frame[:4] *= _ROWS[:4] >= 4 + np.minimum(x, 0)
+    return text
 
 
 def _f8_frame(ax: np.ndarray, sep_width: int):
-    """'%.8f' of each ax with ax * 1e8 <= 2**52: the chunk's (text, keep)
-    arrays (see ``_text_rows``) with the frame filled in as ASCII.
+    """'%.8f' of each ax with ax * 1e8 <= 2**52: the chunk's text array
+    (see ``_text_rows``) with the frame filled in as ASCII.
 
     The frame is sized to the chunk: as many integer digits as its largest
-    units part has, the point and eight decimals.  ``keep`` drops each
-    value's zeros before its units digit.
+    units part has, the point and eight decimals.  Each value's zeros before
+    its units digit are zero bytes.
     """
     hi = ax * _POW10[8]
     m = np.rint(hi)
@@ -154,10 +155,9 @@ def _f8_frame(ax: np.ndarray, sep_width: int):
     fraction[0] = m - units * 10**8
     units = units.astype(np.uint32)
     places = len(str(units.max(initial=0)))
-    text, keep = _text_rows(places + 9, len(ax), sep_width)
-    frame, frame_keep = text[1 : places + 10], keep[1 : places + 10]
-    np.greater_equal(units, _POW10[places - 1 : 0 : -1, None], out=frame_keep[: places - 1])
-    frame_keep[places - 1 :] = True
+    text = _text_rows(places + 9, len(ax), sep_width)
+    frame = text[1 : places + 10]
+    lead = units >= _POW10[places - 1 : 0 : -1, None]  # rows :places - 1 not leading zeros
     for row in range(places - 1, 0, -1):
         tens = units // 10
         frame[row] = units - 10 * tens
@@ -166,7 +166,8 @@ def _f8_frame(ax: np.ndarray, sep_width: int):
     frame[places] = _POINT
     _digit_rows(fraction, frame[places + 1 :])
     frame += ord("0")
-    return text, keep
+    frame[: places - 1] *= lead
+    return text
 
 
 # spec -> (text builder, fast domain of |x|).  %.17g is fixed notation on
@@ -187,20 +188,21 @@ def decimal_chunks(values: np.ndarray, spec: str, seps: tuple, ends):
 
     Each chunk of rows is laid out column-major, one column of bytes a
     value: the sign, the frame of the number's digits and point, and the
-    separator, filled by one ``np.take``, with a mask of the text's bytes,
-    which one boolean index compacts.  The digits come from exact integer
-    arithmetic on the value scaled by a power of ten (see ``_times_pow10``).
-    A value outside the format's fast domain (zero, subnormals, exponent
-    notation, large or non-finite values) is formatted by ``%`` and spliced in.
+    separator, filled by one ``np.take``.  A zero byte is not text: a plus
+    sign, the frame's rows around the number and a short separator's padding
+    are zeros, which one ``translate`` drops, so the separators must be
+    printable ASCII.  The digits come from exact integer arithmetic on the
+    value scaled by a power of ten (see ``_times_pow10``).  A value outside
+    the format's fast domain (zero, subnormals, exponent notation, large or
+    non-finite values) is formatted by ``%`` and spliced in where its column
+    leaves one byte 1.
     """
     build_text, fast_domain = _FORMATS[spec]
     encoded = [s.encode("ascii") for s in seps]
     sep_width = max(map(len, encoded))
     sep_bytes = np.zeros((sep_width, len(seps)), np.uint8)
-    sep_keep = np.zeros((sep_width, len(seps)), bool)
     for j, s in enumerate(encoded):
         sep_bytes[: len(s), j] = tuple(s)
-        sep_keep[: len(s), j] = True
     ends = np.broadcast_to(ends, values.shape)
     chunk = max(1, _CHUNK_VALUES // max(1, values.shape[1]))
     for start in range(0, len(values), chunk):
@@ -209,21 +211,18 @@ def decimal_chunks(values: np.ndarray, spec: str, seps: tuple, ends):
         ax = np.abs(x)
         outside = np.flatnonzero(~fast_domain(ax))
         ax[outside] = 1.0
-        text, keep = build_text(ax, sep_width)
-        text[0] = ord("-")
-        # keep[0] is a contiguous row: numpy 2.4.6's signbit writes wrong
+        text = build_text(ax, sep_width)
+        # text[0] is a contiguous row: numpy 2.4.6's signbit writes wrong
         # values into a strided bool ``out`` of 16 or more elements.
-        np.signbit(x, out=keep[0])
-        if len(outside):  # a NUL marks where each value outside the domain goes
-            text[0, outside] = 0
-            keep[:, outside] = False
-            keep[0, outside] = True
-        body = len(text) - sep_width
-        np.take(sep_bytes, ids, axis=1, out=text[body:])
-        np.take(sep_keep, ids, axis=1, out=keep[body:])
-        text = text.T[keep.T].tobytes().decode("ascii")
+        np.signbit(x, out=text[0].view(bool))
+        text[0] *= ord("-")
+        if len(outside):  # a \x01 marks where each value outside the domain goes
+            text[:, outside] = 0
+            text[0, outside] = 1
+        np.take(sep_bytes, ids, axis=1, out=text[len(text) - sep_width :])
+        text = text.T.tobytes().translate(None, b"\0").decode("ascii")
         if len(outside):
-            parts = text.split("\0")
+            parts = text.split("\1")
             slow = x[outside].tolist()
             text = parts[0] + "".join(spec % v + part for v, part in zip(slow, parts[1:]))
         yield text

@@ -134,7 +134,8 @@ class SvgStyle(_Record):
 
 
 def _feature_name(obj: dict, index: int) -> str:
-    props = obj.get("properties") or {}
+    props = obj.get("properties")
+    props = props if isinstance(props, dict) else {}  # a non-object counts as null
     name = props.get("name") or props.get("NAME")
     return str(name) if name else f"feature[{index}]"
 
@@ -196,7 +197,10 @@ def parse_geojson_lines(document: str) -> ParsedLines:
     def walk(node, name):
         ntype = node.get("type") if isinstance(node, dict) else None
         if ntype == "FeatureCollection":
-            for i, feat in enumerate(node.get("features") or []):
+            features = node.get("features")
+            if not isinstance(features, (list, type(None))):
+                raise ValidationError(f"{name}: features is not an array")
+            for i, feat in enumerate(features or []):
                 walk(feat, _feature_name(feat, i) if isinstance(feat, dict) else name)
         elif ntype == "Feature":
             geom = node.get("geometry")

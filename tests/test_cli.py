@@ -229,6 +229,26 @@ class TestProject:
         assert res.returncode == 3
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (("table", "--csv", ""), 4, "cannot write CSV to : "),
+        (("optimize", "--csv", ""), 4, "cannot write CSV to : "),
+        (("curves", "--csv", ""), 4, "cannot write CSV to : "),
+        (("project", "--out", ""), 4, "cannot write SVG to : "),
+        (("project", ""), 3, "cannot read : "),
+    ],
+    ids=["table-csv", "optimize-csv", "curves-csv", "project-out", "project-geojson"],
+)
+def test_an_empty_path_is_a_path_that_cannot_be_opened(argv, code, message, capsys):
+    """An empty output or GeoJSON path is neither left out nor read as
+    stdout: opening it fails, with the exit code of its kind."""
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: {message}")
+    assert "," not in out and "<svg" not in out  # no CSV or SVG reached stdout
+
+
 class TestReproduce:
     def test_all_pass(self):
         res = run_cli("reproduce")

@@ -97,6 +97,66 @@ class TestParseGeojson:
             parse_geojson_lines(doc)
 
 
+# A valid two-feature collection, and the JSON values that replace each of
+# its members in turn: 29 members and 15 values give 435 documents.
+_COLLECTION = {
+    "type": "FeatureCollection",
+    "features": [
+        feature({"type": "LineString", "coordinates": [[10.0, 50.0], [20.0, 55.0]]}, "a"),
+        feature({"type": "MultiLineString", "coordinates": [[[30.0, 60.0], [40.0, 65.0]]]}, "b"),
+    ],
+}
+_VALUES = (None, True, False, 0, -1, 1.5, "", "x", "LineString", [], [0], [[0, 0]], {},
+           {"type": "LineString"}, {"type": "Feature"})
+
+
+def _members(node, path=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _members(child, path + (key,))
+
+
+def _substituted(path, value):
+    doc = json.loads(json.dumps(_COLLECTION))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return json.dumps(doc)
+
+
+# (member, value as JSON) -> the document's line names, or its exact message.
+_NOT_ARRAYS = [v for v in _VALUES if not isinstance(v, list)]
+_OUTCOMES = {
+    **{(("features",), json.dumps(v)): "document: features is not an array"
+       for v in _NOT_ARRAYS if v is not None},
+    (("features",), "null"): (),
+    (("features",), "[0]"): "document: missing GeoJSON type",
+    **{(("features", 0), json.dumps(v)): "document: missing GeoJSON type"
+       for v in _VALUES if not isinstance(v, dict)},
+    **{(("features", 0, "properties"), json.dumps(v)): ("feature[0]", "b[0]") for v in _VALUES},
+    **{(("features", 1, "geometry", "coordinates"), json.dumps(v)):
+       "b: bad MultiLineString coordinates" for v in _NOT_ARRAYS},
+}
+
+
+@pytest.mark.parametrize("value", _VALUES, ids=json.dumps)
+@pytest.mark.parametrize("path", list(_members(_COLLECTION)), ids=lambda p: ".".join(map(str, p)))
+def test_a_member_replaced_by_any_json_value_parses_or_raises_a_parse_error(path, value):
+    """No GeoJSON document gives a traceback: a ``features`` that is not an
+    array is an error, a ``properties`` that is not an object counts as null."""
+    try:
+        parsed = parse_geojson_lines(_substituted(path, value))
+    except (ParseError, ValidationError) as exc:
+        outcome = str(exc)
+    else:
+        outcome = tuple(line.name for line in parsed.lines)
+    expected = _OUTCOMES.get((path, json.dumps(value)))
+    assert expected is None or outcome == expected
+
+
 class TestGraticule:
     def test_canonical_counts(self):
         grat = graticule(10.0, 5.0, ANNULUS)
