@@ -7,7 +7,8 @@ repository root) in this process, with a `sys.settrace` and
 lies under `src/conicmaps`.  A statement, found with `ast`, ran if a line
 event fell on one of its lines; a compound statement's lines are its header
 only, decorators included.  `global`, `nonlocal` and bare constants such as
-docstrings run no code and are skipped.  Tests that start `python -m
+docstrings run no code, and the body of `if TYPE_CHECKING:` never runs by
+design; all are skipped.  Tests that start `python -m
 conicmaps` in a subprocess are not traced, so a statement that only they
 reach is listed.  Prints pytest's summary, then each never-run statement as
 `module:line  source`, module by module.  Takes no options and writes
@@ -29,10 +30,15 @@ SKIPPED = (ast.Global, ast.Nonlocal)
 
 
 def statements(tree: ast.AST) -> dict:
-    """{first line: the lines of its statement} of each statement that runs code."""
-    found = {}
-    for node in ast.walk(tree):
-        if (not isinstance(node, ast.stmt) or isinstance(node, SKIPPED)
+    """{first line: the lines of its statement} of each statement that runs code.
+
+    The body of ``if TYPE_CHECKING:`` never runs by design and is skipped.
+    """
+    found, unrun = {}, set()
+    for node in ast.walk(tree):  # breadth first: an `if` comes before its body
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            unrun.update(id(inner) for stmt in node.body for inner in ast.walk(stmt))
+        if (not isinstance(node, ast.stmt) or isinstance(node, SKIPPED) or id(node) in unrun
                 or isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)):
             continue
         first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())])

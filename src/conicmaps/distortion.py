@@ -176,11 +176,18 @@ def optimal_alpha_by_root(rho1: float, rho2: float) -> float:
 
 def _downward_alpha(rho1: float, rho2: float, alpha: float) -> float:
     """``alpha`` of :func:`optimal_alpha_by_root`, which callers call where the
-    benchmark tracer times it, or a ValueError if its cone opens upward."""
+    benchmark tracer times it, or a ValueError if its cone opens upward, or
+    if sin(alpha) rounds to rho1 or below, as on (0.9999999999999998,
+    0.9999999999999999), so that its cone cannot touch the parallel rho1
+    (the exact test of :func:`cone.cone_touching_parallel`)."""
     if alpha <= 0.0:
         raise ValueError(f"rho1 + rho2 = {rho1 + rho2:.6g} gives the optimal a0 = "
                          f"{math.sin(alpha):.6g} <= 0, an upward cone; the domain needs "
                          "rho1 + rho2 > 0")
+    if math.sin(alpha) <= rho1:
+        raise ValueError(f"rho1 = {rho1!r} and rho2 = {rho2!r} give the optimal a0 = "
+                         f"{math.sin(alpha)!r} <= rho1 in floating point, a cone that "
+                         "cannot touch the parallel rho1; not supported")
     return alpha
 
 

@@ -133,9 +133,11 @@ class SvgStyle(_Record):
     stroke_width: float = 0.002
 
 
-def _feature_name(obj: dict, index: int) -> str:
-    props = obj.get("properties")
-    props = props if isinstance(props, dict) else {}  # a non-object counts as null
+def _feature_name(obj, index: int) -> str:
+    """A member's name: its properties' name, else ``feature[index]``; a
+    member or ``properties`` that is not an object has no properties."""
+    props = obj.get("properties") if isinstance(obj, dict) else None
+    props = props if isinstance(props, dict) else {}
     name = props.get("name") or props.get("NAME")
     return str(name) if name else f"feature[{index}]"
 
@@ -201,7 +203,7 @@ def parse_geojson_lines(document: str) -> ParsedLines:
             if not isinstance(features, (list, type(None))):
                 raise ValidationError(f"{name}: features is not an array")
             for i, feat in enumerate(features or []):
-                walk(feat, _feature_name(feat, i) if isinstance(feat, dict) else name)
+                walk(feat, _feature_name(feat, i))
         elif ntype == "Feature":
             geom = node.get("geometry")
             if geom is not None:
@@ -337,31 +339,22 @@ def project_polylines(
     first = np.insert(first, at, np.arange(len(at)) >= len(edge))
     line_id = np.insert(line_id, at, line_id[at - 1])
 
-    # Clip to the band.  A piece keeps its inside vertices; a boundary point
-    # is added where it enters or leaves the band, and a segment with both
-    # ends outside that spans the band becomes a piece of two boundary
-    # points.  A piece of one vertex (an edge-to-edge first segment) is none.
-    # The boundary points go in segment order, so np.insert keeps a leaving
-    # point ahead of the next entering one at the same place.
-    inside = (lo <= rho) & (rho <= hi)
+    # Clip to the band by one rule: a piece keeps its inside vertices, and
+    # each segment within a piece gets one boundary point for each band
+    # boundary it crosses (none, one, or two when it spans the band).  The
+    # first point of a segment that starts outside starts a piece and lies on
+    # the boundary beyond the near end; any other lies on the boundary beyond
+    # the far end.  A piece of one vertex (an edge-to-edge first segment) is
+    # none.  np.repeat lays the points out in segment order, so np.insert
+    # keeps a leaving point ahead of the next entering one at the same place.
+    below, above = rho < lo, rho > hi
+    inside = ~(below | above)
     keep = inside & ~(first & np.roll(first, -1))
-    joined = ~first[1:]
-    ra, rb = rho[:-1], rho[1:]
-    enter = joined & ~inside[:-1] & inside[1:]
-    leave = joined & inside[:-1] & ~inside[1:]
-    spans = joined & ~inside[:-1] & ~inside[1:]
-    spans &= (np.minimum(ra, rb) < lo) & (np.maximum(ra, rb) > hi)
-    io, sp = np.flatnonzero(enter | leave), np.flatnonzero(spans)
-    outer = np.where(enter[io], ra[io], rb[io])
-    rising = ra[sp] < rb[sp]
-    segs = np.concatenate((io, sp, sp))
-    bound = np.concatenate(
-        (np.where(outer < lo, lo, hi), np.where(rising, lo, hi), np.where(rising, hi, lo))
-    )
-    starts = np.concatenate((enter[io], np.ones(len(sp), bool), np.zeros(len(sp), bool)))
-    order = np.argsort(segs, kind="stable")
-    segs, bound, starts = segs[order], bound[order], starts[order]
-    t = (bound - ra[segs]) / (rb[segs] - ra[segs])
+    crossed = np.add(below[:-1] != below[1:], above[:-1] != above[1:], dtype=np.intp)
+    segs = np.repeat(np.arange(len(crossed)), crossed * ~first[1:])
+    starts = (np.diff(segs, prepend=-1) != 0) & ~inside[segs]
+    bound = np.where(np.where(starts, below[segs], below[segs + 1]), lo, hi)
+    t = (bound - rho[segs]) / (rho[segs + 1] - rho[segs])
     edge_off = off[segs] + t * (off[segs + 1] - off[segs])
     at = np.cumsum(keep)[segs]
     off = np.insert(off[keep], at, edge_off)

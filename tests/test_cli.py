@@ -363,9 +363,9 @@ class TestLatitudeDomain:
              "error: invalid latitude: need |lat1| < 90, got lat1=-95\n"),
         ],
     )
-    def test_latitude_beyond_a_pole_exits_2(self, argv, message):
-        res = run_cli(*argv)
-        assert (res.returncode, res.stdout, res.stderr) == (2, "", message)
+    def test_latitude_beyond_a_pole_exits_2(self, argv, message, capsys):
+        assert main(list(argv)) == 2
+        assert capsys.readouterr() == ("", message)
 
     def test_an_inverted_band_keeps_the_band_message(self):
         res = run_cli("project", "--lat1", "100", "--lat2", "120", "--degrees")
@@ -375,9 +375,11 @@ class TestLatitudeDomain:
 
 class TestUpwardConeMessage:
     """On a band in the domain whose optimal a0 rounds to 0, every subcommand
-    that needs the Lambert cone gives the one upward-cone message."""
+    that needs the Lambert cone gives the one upward-cone message; where it
+    rounds to rho1 or below, the one message that names the band."""
 
     COMMANDS = ("optimize", "table", "curves", "project", "reproduce")
+    NEAR_POLE = (0.9999999999999998, 0.9999999999999999)
 
     @staticmethod
     def message(total):
@@ -393,6 +395,23 @@ class TestUpwardConeMessage:
     def test_subnormal_band(self, command, capsys):
         assert main([command, "--rho1=5e-324", "--rho2=1e-323"]) == 2
         assert capsys.readouterr() == ("", self.message("1.4822e-323"))
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a0_that_rounds_to_rho1(self, command, capsys):
+        """On this band sin(alpha0) rounds below rho1, which no Lambert cone
+        through the parallel rho1 allows; every subcommand names the band."""
+        assert main([command, f"--rho1={self.NEAR_POLE[0]!r}",
+                     f"--rho2={self.NEAR_POLE[1]!r}"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: rho1 = 0.9999999999999998 and rho2 = 0.9999999999999999 give the "
+            "optimal a0 = 0.9999999999999997 <= rho1 in floating point, a cone that cannot "
+            "touch the parallel rho1; not supported\n")
+
+    def test_near_the_pole_the_other_kinds_still_draw(self, capsys):
+        assert main(["project", "--kind", "central", f"--rho1={self.NEAR_POLE[0]!r}",
+                     f"--rho2={self.NEAR_POLE[1]!r}"]) == 0
+        out = capsys.readouterr()
+        assert out.err == "" and out.out.endswith("</svg>\n")
 
     @pytest.mark.parametrize("band", [(-0.5, 0.3), (-0.3, 0.3), (0.0, 1e-300), (5e-324, 1e-323)])
     def test_every_subcommand_words_the_band_as_optimize_does(self, band, capsys):

@@ -110,6 +110,12 @@ class TestConeThroughParallels:
         assert cone.slant_at_height(RHO1) == pytest.approx(S1_THROUGH, abs=1e-12)
         assert cone.slant_at_height(RHO2) == pytest.approx(S2_THROUGH, abs=1e-12)
 
+    @pytest.mark.parametrize("above", [0.0, 1.0])
+    def test_no_slant_at_or_above_the_apex(self, above):
+        cone = cone_through_parallels(RHO1, RHO2)
+        with pytest.raises(ValueError, match="^height is at or above the apex$"):
+            cone.slant_at_height(cone.apex_z + above)
+
     def test_tangent_formula(self):
         rng = np.random.default_rng(5)
         for _ in range(100):

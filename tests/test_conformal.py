@@ -84,9 +84,14 @@ class TestPlaneToCone:
             )
             assert math.dist(plane_to_cone(chart, z).xyz, expect) < 1e-12
 
-    def test_origin_rejected(self, chart):
-        with pytest.raises(ValueError):
-            plane_to_cone(chart, 0.0)
+    @pytest.mark.parametrize("z, message", [
+        (0.0, "the chart-plane origin is the puncture"),
+        (complex(math.inf, 1.0), "non-finite chart-plane point"),
+        (complex(1.0, math.nan), "non-finite chart-plane point"),
+    ])
+    def test_origin_and_non_finite_points_rejected(self, chart, z, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            plane_to_cone(chart, z)
 
 
 class TestPlaneToSphere:

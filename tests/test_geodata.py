@@ -133,8 +133,8 @@ _OUTCOMES = {
     **{(("features",), json.dumps(v)): "document: features is not an array"
        for v in _NOT_ARRAYS if v is not None},
     (("features",), "null"): (),
-    (("features",), "[0]"): "document: missing GeoJSON type",
-    **{(("features", 0), json.dumps(v)): "document: missing GeoJSON type"
+    (("features",), "[0]"): "feature[0]: missing GeoJSON type",
+    **{(("features", 0), json.dumps(v)): "feature[0]: missing GeoJSON type"
        for v in _VALUES if not isinstance(v, dict)},
     **{(("features", 0, "properties"), json.dumps(v)): ("feature[0]", "b[0]") for v in _VALUES},
     **{(("features", 1, "geometry", "coordinates"), json.dumps(v)):

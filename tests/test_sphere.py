@@ -38,6 +38,14 @@ class TestSphericalPoint:
     def test_colatitude(self):
         assert SphericalPoint(0.0, 0.5).colatitude == pytest.approx(math.acos(0.5))
 
+    def test_latitude(self):
+        assert SphericalPoint(0.0, 0.5).latitude == math.asin(0.5)
+        assert SphericalPoint(0.0, -0.5).latitude == pytest.approx(-math.pi / 6, abs=1e-15)
+
+    def test_zero_vector_rejected(self):
+        with pytest.raises(ValueError, match="^zero vector has no direction$"):
+            SphericalPoint.from_xyz(0.0, 0.0, 0.0)
+
 
 class TestStereographic:
     def test_equator_maps_to_unit_circle(self):
