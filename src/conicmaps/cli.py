@@ -2,10 +2,10 @@
 
 Every subcommand takes the band: --rho1/--rho2 (heights) or --lat1/--lat2
 (latitudes, radians unless --degrees).  Each one parses only the options it
-reads; ``SUBCOMMANDS`` holds each one's help, options and handler.  A call
-whose first argument names a subcommand builds one flat parser with that
-subcommand's options only; any other call builds the top-level parser, which
-lists the subcommands and serves help and usage errors.
+reads; ``SUBCOMMANDS`` holds each one's help, option table and handler.
+A call whose first argument names a subcommand builds one flat parser with
+that subcommand's options only; any other call builds the top-level parser,
+which lists the subcommands and serves help and usage errors.
 
 ``optimize --csv FILE`` implies --scan.  A kind is no map of the band when a
 stretch is not positive somewhere on it: ``table`` and ``reproduce`` print it
@@ -90,68 +90,36 @@ def _degree_minutes(rad: float) -> str:
     return f"{deg}\N{DEGREE SIGN}{minutes}\N{PRIME}"
 
 
-def _add_band(p: argparse._ActionsContainer) -> None:
-    p.add_argument(
-        "--rho1",
-        type=float,
-        help=f"height of the lower parallel (default: {CANONICAL_RHO1})",
-    )
-    p.add_argument(
-        "--rho2",
-        type=float,
-        help=f"height of the upper parallel (default: {CANONICAL_RHO2})",
-    )
-    p.add_argument("--lat1", type=float, help="latitude of the lower parallel")
-    p.add_argument("--lat2", type=float, help="latitude of the upper parallel")
-    p.add_argument(
-        "--degrees",
-        action="store_true",
-        help="interpret --lat1/--lat2 (and project's --alpha) as degrees "
-        "instead of radians",
-    )
-
-
-# A subcommand's adder takes its parser and the container of its options: it
-# adds its options to the container and its positionals to the parser.
-def _add_csv_options(parser: argparse.ArgumentParser, p: argparse._ActionsContainer) -> None:
-    p.add_argument("--samples", type=int, help="sample count")
-    p.add_argument("--csv", help="CSV output file")
-
-
-def _add_optimize_options(
-    parser: argparse.ArgumentParser, p: argparse._ActionsContainer
-) -> None:
-    _add_csv_options(parser, p)
-    p.add_argument(
-        "--scan",
-        action="store_true",
-        help="also emit the (sin alpha, distortion) curve as CSV",
-    )
-
-
-def _add_project_options(
-    parser: argparse.ArgumentParser, p: argparse._ActionsContainer
-) -> None:
-    p.add_argument("--alpha", type=float, help="half-apex angle override (Lambert only)")
-    p.add_argument(
-        "--kind",
-        choices=sorted(projections.COMPARISON_ORDER),
-        default=projections.KIND_LAMBERT,
-        help="projection kind (default: lambert)",
-    )
-    p.add_argument(
-        "--cut",
-        type=float,
-        default=180.0,
-        help="longitude (degrees) of the meridian the cone is cut along "
-        "(default: 180, the antimeridian)",
-    )
-    p.add_argument("--out", help="SVG output file (default: stdout)")
-    parser.add_argument(
-        "geojson",
-        nargs="?",
-        help="optional GeoJSON file with LineString/MultiLineString overlays",
-    )
+# Each option as (name, add_argument keywords), in the order help lists them.
+# Every subcommand takes the band; a name without a leading "-" is a positional.
+_BAND = (
+    ("--rho1", dict(type=float,
+                    help=f"height of the lower parallel (default: {CANONICAL_RHO1})")),
+    ("--rho2", dict(type=float,
+                    help=f"height of the upper parallel (default: {CANONICAL_RHO2})")),
+    ("--lat1", dict(type=float, help="latitude of the lower parallel")),
+    ("--lat2", dict(type=float, help="latitude of the upper parallel")),
+    ("--degrees", dict(action="store_true", help="interpret --lat1/--lat2 (and project's "
+                       "--alpha) as degrees instead of radians")),
+)
+_CSV = (
+    ("--samples", dict(type=int, help="sample count")),
+    ("--csv", dict(help="CSV output file")),
+)
+_OPTIMIZE = _CSV + (
+    ("--scan", dict(action="store_true",
+                    help="also emit the (sin alpha, distortion) curve as CSV")),
+)
+_PROJECT = (
+    ("--alpha", dict(type=float, help="half-apex angle override (Lambert only)")),
+    ("--kind", dict(choices=sorted(projections.COMPARISON_ORDER),
+                    default=projections.KIND_LAMBERT, help="projection kind (default: lambert)")),
+    ("--cut", dict(type=float, default=180.0, help="longitude (degrees) of the meridian the "
+                   "cone is cut along (default: 180, the antimeridian)")),
+    ("--out", dict(help="SVG output file (default: stdout)")),
+    ("geojson", dict(nargs="?",
+                     help="optional GeoJSON file with LineString/MultiLineString overlays")),
+)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -161,12 +129,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     subcommand's options.  The top-level parser takes no options: it lists
     the subcommands with their help and reports a missing or unknown one.
 
-    A subcommand's options, -h first, sit in one argument group titled
-    "options", as argparse's own would be; its positionals stay on the
-    parser.  argparse checks the metavar of an argument added to a parser,
-    not to a group, with a throwaway help formatter that reads the terminal
-    size.  So a valid call builds no formatter unless the subcommand has a
-    positional, and only help and usage errors read the terminal size.
+    One loop adds the band's option table and then the subcommand's own.
+    An option, -h first, goes in one argument group titled "options", as
+    argparse's own would be; a name without a leading "-" is a positional
+    and goes on the parser.  argparse checks the metavar of an argument
+    added to a parser, not to a group, with a throwaway help formatter that
+    reads the terminal size.  So a valid call builds no formatter unless the
+    subcommand has a positional, and only help and usage errors read the
+    terminal size.
     """
     if command is None:
         parser = argparse.ArgumentParser(
@@ -183,8 +153,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         "-h", "--help", action="help", default=argparse.SUPPRESS,
         help="show this help message and exit",
     )
-    _add_band(options)
-    SUBCOMMANDS[command][1](parser, options)
+    for name, keywords in _BAND + SUBCOMMANDS[command][1]:
+        (options if name.startswith("-") else parser).add_argument(name, **keywords)
     return parser
 
 
@@ -309,7 +279,7 @@ def cmd_project(args: argparse.Namespace) -> int:
     overlays = []
     if args.geojson is not None:
         try:
-            with open(args.geojson, "r", encoding="utf-8") as fh:
+            with open(args.geojson, "r", encoding="utf-8-sig") as fh:
                 parsed = parse_geojson_lines(fh.read())
         except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read {args.geojson}: {exc}") from exc
@@ -382,16 +352,13 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     return 0
 
 
-# name -> (help, adds the subcommand's own options, handler)
+# name -> (help, options besides the band, handler)
 SUBCOMMANDS = {
-    "optimize": ("optimal half-apex angle and distortion", _add_optimize_options,
-                 cmd_optimize),
-    "table": ("distortion table of the six projections", _add_csv_options, cmd_table),
-    "curves": ("bi-Lipschitz curves of the six projections", _add_csv_options,
-               cmd_curves),
-    "project": ("render a projected map as SVG", _add_project_options, cmd_project),
-    "reproduce": ("check all published reference values", lambda parser, p: None,
-                  cmd_reproduce),
+    "optimize": ("optimal half-apex angle and distortion", _OPTIMIZE, cmd_optimize),
+    "table": ("distortion table of the six projections", _CSV, cmd_table),
+    "curves": ("bi-Lipschitz curves of the six projections", _CSV, cmd_curves),
+    "project": ("render a projected map as SVG", _PROJECT, cmd_project),
+    "reproduce": ("check all published reference values", (), cmd_reproduce),
 }
 
 

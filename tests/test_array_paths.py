@@ -302,6 +302,12 @@ FOREIGN_OPTIONS = [
 ]
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_option_owners_name_every_option_of_the_table(command):
+    own = {option[0] for option, owners in OPTION_OWNERS.items() if command in owners}
+    assert own == {name for name, _ in SUBCOMMANDS[command][1] if name.startswith("-")}
+
+
 class TestCliErrors:
     def test_unwritable_svg_exits_4(self, tmp_path, capsys):
         assert main(["project", "--out", str(tmp_path / "missing" / "x.svg")]) == 4

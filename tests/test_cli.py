@@ -119,6 +119,10 @@ class TestTable:
         for line in rows:
             assert all(math.isfinite(float(v)) for v in line.split()[1:]), line
 
+    def test_negative_value_in_exponent_notation_after_equals(self, capsys):
+        assert main(["table", "--rho1=-1e-1", "--rho2", "0.5"]) == 0
+        assert capsys.readouterr().out.count("\n") == 7
+
     def test_wide_band_prints_the_undefined_kind(self, tmp_path):
         # the delisle-equidistant slant distance vanishes on this band
         out = tmp_path / "table.csv"
@@ -227,6 +231,17 @@ class TestProject:
     def test_missing_file_exits_3(self, tmp_path):
         res = run_cli("project", str(tmp_path / "nope.geojson"))
         assert res.returncode == 3
+
+    def test_a_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        text = json.dumps({"type": "LineString", "coordinates": [[10.0, 50.0], [20.0, 55.0]]})
+        svgs = []
+        for name, content in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())):
+            path = tmp_path / f"{name}.geojson"
+            path.write_bytes(content)
+            assert main(["project", str(path)]) == 0
+            svgs.append(capsys.readouterr().out)
+        assert svgs[0] == svgs[1]
+        assert svgs[0].count("<g ") == 2
 
 
 @pytest.mark.parametrize(

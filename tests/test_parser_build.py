@@ -5,7 +5,7 @@ parses, helps and fails exactly as a parser built the plain way would.
 argparse skips its per-argument metavar check and the help formatter (and
 terminal-size read) that check builds.  The reference parser here is the
 plain one: ``ArgumentParser`` with its own -h and every option added to the
-parser itself, through the same adders.
+parser itself, from the same option tables.
 """
 
 import argparse
@@ -36,13 +36,15 @@ ARGVS = [
     ["--kind", "nope"],
     ["a.geojson", "b.geojson"],
     ["--alpha"],
+    ["--rho1", "-1e-17"],
+    ["--rho1=-1e-17"],
 ]
 
 
 def reference_parser(command):
     parser = argparse.ArgumentParser(prog=f"conicmaps {command}")
-    cli._add_band(parser)
-    SUBCOMMANDS[command][1](parser, parser)
+    for name, keywords in cli._BAND + SUBCOMMANDS[command][1]:
+        parser.add_argument(name, **keywords)
     return parser
 
 
