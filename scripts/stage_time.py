@@ -7,9 +7,10 @@ from it and times `parse_geojson_lines`, `graticule`, `project_polylines`
 and `render_svg` on the inputs of one `conicmaps project` call of the
 `maps` benchmark workload: the seeded coastline of
 `benchmarks/workloads.coastline(seed)` and the canonical band, Lambert
-kind, cut at 180 degrees.  `project_polylines` is its two calls, graticule
-and coastline.  It also times `write_csv`, into a `StringIO`, of the two
-CSVs of a `curves` workload operation on the canonical band:
+kind, cut at 180 degrees.  `project_polylines` is timed as its two calls,
+one stage for the graticule and one for the coastline.  It also times
+`write_csv`, into a `StringIO`, of the two CSVs of a `curves` workload
+operation on the canonical band:
 `scan_table` of `SCAN_SAMPLES` (12,001) points, as `optimize --scan`
 writes, and `sigma_table` of `CURVES_SAMPLES` (1,201) heights, as
 `curves` writes.  A child times each stage in 3 timeit loops of the call
@@ -51,19 +52,17 @@ profile = make_profile("lambert", ProjectionParams(*CANONICAL))
 cut = math.radians(180.0)
 grid, coast = graticule(10.0, 5.0, annulus), parse_geojson_lines(document).lines
 
-def project():
-    return (project_polylines(profile, grid, cut).paths,
-            project_polylines(profile, coast, cut).paths)
-
-grid_paths, coast_paths = project()
-groups = [(SvgStyle(stroke="#999999", stroke_width=0.0015), grid_paths),
-          (SvgStyle(stroke="black", stroke_width=0.003), coast_paths)]
+groups = [(SvgStyle(stroke="#999999", stroke_width=0.0015),
+           project_polylines(profile, grid, cut).paths),
+          (SvgStyle(stroke="black", stroke_width=0.003),
+           project_polylines(profile, coast, cut).paths)]
 scan = scan_table(*CANONICAL, SCAN_SAMPLES)
 sigma = sigma_table(*CANONICAL, CURVES_SAMPLES)
 stages = {
     "parse_geojson_lines": lambda: parse_geojson_lines(document),
     "graticule": lambda: graticule(10.0, 5.0, annulus),
-    "project_polylines": project,
+    "project_polylines graticule": lambda: project_polylines(profile, grid, cut),
+    "project_polylines coastline": lambda: project_polylines(profile, coast, cut),
     "render_svg": lambda: render_svg(groups),
     "write_csv scan": lambda: write_csv(scan, io.StringIO()),
     "write_csv sigma": lambda: write_csv(sigma, io.StringIO()),
@@ -102,9 +101,9 @@ def main(argv=None) -> int:
           f"coastline seed {args.seed}")
     for i, src in enumerate(args.src, 1):
         print(f"  [{i}] {src}")
-    print(f"{'stage':<20}" + "".join(f"{f'[{i}]':>10}" for i in range(1, len(best) + 1)))
+    print(f"{'stage':<28}" + "".join(f"{f'[{i}]':>10}" for i in range(1, len(best) + 1)))
     for stage in best[0]:
-        print(f"{stage:<20}" + "".join(f"{1e3 * times[stage]:>10.3f}" for times in best))
+        print(f"{stage:<28}" + "".join(f"{1e3 * times[stage]:>10.3f}" for times in best))
     return 0
 
 

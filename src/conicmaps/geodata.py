@@ -8,7 +8,10 @@ GeoJSON, or a read-only (n, 2) array, as the graticule builds them; each
 vertex is checked once.  Clipping to the annulus and splitting at the
 cut meridian both happen in (longitude offset, rho) space, where the
 boundaries are coordinate-aligned; only the final step maps to the drawing
-plane.  Every stage is an array call over the vertices of all lines at once.
+plane.  Every stage is an array call over the vertices of all lines at once,
+except for a graticule: its meridians share their latitudes and its
+parallels their longitudes, so it is projected by that product structure,
+with each distinct longitude, latitude and offset evaluated once.
 The numbers of the CSV and SVG text come from the array decimal writer of
 ``decimals``, byte for byte what ``'%.17g' % v`` and ``'%.8f' % v`` give.
 """
@@ -222,9 +225,29 @@ def _frange_inclusive(lo: float, hi: float, max_step: float) -> np.ndarray:
     return lo + (hi - lo) * np.arange(n + 1) / n
 
 
-def graticule(
-    lon_step: float, lat_step: float, annulus: SphericalAnnulus
-) -> list[GeoPolyline]:
+class Graticule(list):
+    """The polylines of :func:`graticule`, plus the four axes they were built
+    from: meridian ``k`` runs along ``meridian_lons[k]`` through every one of
+    ``meridian_lats``, and parallel ``k`` along ``parallel_lats[k]`` through
+    every one of ``parallel_lons``.
+
+    ``project_polylines`` projects an unchanged Graticule by this product
+    structure.  Once its items change it is a list of lines like any other,
+    as are its slices and sums.
+    """
+
+    def __init__(self, lines, meridian_lons, meridian_lats, parallel_lats, parallel_lons):
+        super().__init__(lines)
+        self._built = tuple(lines)
+        self.meridian_lons, self.meridian_lats = meridian_lons, meridian_lats
+        self.parallel_lats, self.parallel_lons = parallel_lats, parallel_lons
+
+    def _unchanged(self) -> bool:
+        """Whether the items are still the lines it was built with."""
+        return tuple(self) == self._built  # polylines compare by identity
+
+
+def graticule(lon_step: float, lat_step: float, annulus: SphericalAnnulus) -> Graticule:
     """Meridian/parallel grid restricted to the annulus' latitude band.
 
     Meridians run at multiples of ``lon_step`` over the full inclusive range
@@ -233,7 +256,8 @@ def graticule(
     multiple of ``lat_step`` strictly inside the band, at most 10,000 of
     them.  All polylines are densified to at most 0.25 degrees between
     vertices; their points are the rows of one read-only array per family,
-    built by broadcasting and checked once.
+    built by broadcasting from the four read-only axes the returned
+    :class:`Graticule` keeps, and checked once.
     """
     if lon_step <= 0.0 or lat_step <= 0.0:
         raise ValueError("graticule steps must be positive")
@@ -251,17 +275,19 @@ def graticule(
     # k * lat_step >= lat2 - 1e-9 for every k from ceil(lat2 / lat_step) on.
     multiples = np.arange(math.floor(lat1 / lat_step) + 1, math.ceil(lat2 / lat_step)) * lat_step
     inner = multiples[(multiples > lat1 + 1e-9) & (multiples < lat2 - 1e-9)]
-    parallel_lats = [lat1, *inner.tolist(), lat2]
+    parallel_lats = np.array([lat1, *inner.tolist(), lat2])
     lons = _frange_inclusive(-180.0, 180.0, _MAX_VERTEX_SPACING_DEG)
 
     meridians = np.stack(np.broadcast_arrays(meridian_lons[:, None], lats), axis=-1)
-    parallels = np.stack(np.broadcast_arrays(lons, np.array(parallel_lats)[:, None]), axis=-1)
-    meridians.flags.writeable = parallels.flags.writeable = False
+    parallels = np.stack(np.broadcast_arrays(lons, parallel_lats[:, None]), axis=-1)
+    for array in (meridians, parallels, meridian_lons, lats, parallel_lats, lons):
+        array.flags.writeable = False
     checked = _inside(meridians).all() and _inside(parallels).all()
     make = GeoPolyline._checked if checked else GeoPolyline  # which words a failure
-    return [
+    lines = [
         make(f"meridian {lon:g}", pts) for lon, pts in zip(meridian_lons.tolist(), meridians)
-    ] + [make(f"parallel {lat:g}", pts) for lat, pts in zip(parallel_lats, parallels)]
+    ] + [make(f"parallel {lat:g}", pts) for lat, pts in zip(parallel_lats.tolist(), parallels)]
+    return Graticule(lines, meridian_lons, lats, parallel_lats, lons)
 
 
 class ProjectedPaths(_Record):
@@ -284,16 +310,19 @@ def project_polylines(
     concatenate.  A segment whose offset jumps by more than 180 degrees
     crosses the cut meridian and is split at the sector edge; the pieces are
     then clipped to the annulus band, interpolating linearly in (offset,
-    rho).  The splits, the clip and the placement on the
-    plane are each a few array calls over every vertex at once, with one
-    call of the profile; no Python loop runs over vertices.  Each path is an
-    (n, 2) view of one array.  Input polylines that vanish entirely in
-    clipping are dropped and counted.
+    rho).  The splits, the clip and the placement on the plane are each a
+    few array calls over every vertex at once, with one call of the profile;
+    no Python loop runs over vertices.  An unchanged :class:`Graticule` is
+    projected by its product structure instead (see
+    :func:`_project_graticule`).  Each path is an (n, 2) view of one array.
+    Input polylines that vanish entirely in clipping are dropped and
+    counted.
     """
     if not lines:
         return ProjectedPaths([], 0)
     center_deg = math.degrees(cut) % 360.0 - 180.0
-    lo, hi = profile.rho1, profile.rho2
+    if isinstance(lines, Graticule) and lines._unchanged():
+        return _project_graticule(profile, lines, center_deg)
     points = [line.points for line in lines]
     counts = np.fromiter(map(len, points), dtype=np.intp, count=len(points))
     # Array lines go in as they are; each run of tuple lines is read with one
@@ -313,53 +342,9 @@ def project_polylines(
     lon, lat = np.concatenate(blocks).T
     line_id = np.repeat(np.arange(len(points)), counts)
     first = np.diff(line_id, prepend=-1) != 0  # starts a piece
-    # fmod and the shifts are exact; an exact +-180 keeps its sign, so the two
-    # edges of the cut stay distinguishable
-    off = np.fmod(lon - center_deg, 360.0)
-    off = np.where(off > 180.0, off - 360.0, off)
-    off = np.where(off < -180.0, off + 360.0, off)
-    rho = np.sin(np.radians(lat))
-
-    # Split at the seam: unwrap the far vertex next to the near one and cut
-    # at the edge between them (a point on each edge), or, for an edge-to-edge
-    # jump (o0 = +-180, o1 = -+180, the same meridian seen from both sides),
-    # continue on the destination edge.
-    jumps = np.diff(off)
-    seam = np.flatnonzero((np.abs(jumps) > 180.0) & ~first[1:])
-    o0, r0, o1, r1 = off[seam], rho[seam], off[seam + 1], rho[seam + 1]
-    o1u = o1 - np.copysign(360.0, jumps[seam])
-    turn = o1u == o0
-    over = ~turn
-    edge = np.copysign(180.0, o1u[over] - o0[over])
-    t = (edge - o0[over]) / (o1u[over] - o0[over])
-    rc = r0[over] + t * (r1[over] - r0[over])
-    at = np.concatenate((seam[over], seam[over], seam[turn])) + 1
-    off = np.insert(off, at, np.concatenate((edge, -edge, o1[turn])))
-    rho = np.insert(rho, at, np.concatenate((rc, rc, r0[turn])))
-    first = np.insert(first, at, np.arange(len(at)) >= len(edge))
+    off, rho, first, at = _split_at_seam(_wrap(lon, center_deg), np.sin(np.radians(lat)), first)
     line_id = np.insert(line_id, at, line_id[at - 1])
-
-    # Clip to the band by one rule: a piece keeps its inside vertices, and
-    # each segment within a piece gets one boundary point for each band
-    # boundary it crosses (none, one, or two when it spans the band).  The
-    # first point of a segment that starts outside starts a piece and lies on
-    # the boundary beyond the near end; any other lies on the boundary beyond
-    # the far end.  A piece of one vertex (an edge-to-edge first segment) is
-    # none.  np.repeat lays the points out in segment order, so np.insert
-    # keeps a leaving point ahead of the next entering one at the same place.
-    below, above = rho < lo, rho > hi
-    inside = ~(below | above)
-    keep = inside & ~(first & np.roll(first, -1))
-    crossed = np.add(below[:-1] != below[1:], above[:-1] != above[1:], dtype=np.intp)
-    segs = np.repeat(np.arange(len(crossed)), crossed * ~first[1:])
-    starts = (np.diff(segs, prepend=-1) != 0) & ~inside[segs]
-    bound = np.where(np.where(starts, below[segs], below[segs + 1]), lo, hi)
-    t = (bound - rho[segs]) / (rho[segs + 1] - rho[segs])
-    edge_off = off[segs] + t * (off[segs + 1] - off[segs])
-    at = np.cumsum(keep)[segs]
-    off = np.insert(off[keep], at, edge_off)
-    rho = np.insert(rho[keep], at, bound)
-    first = np.insert(first[keep], at, starts)
+    off, rho, first, keep, segs, _ = _clip(off, rho, first, profile.rho1, profile.rho2)
 
     drawn = np.zeros(len(points), bool)
     drawn[line_id[keep]] = True
@@ -370,7 +355,148 @@ def project_polylines(
     slant = profile.s(np.arccos(rho))
     psi = np.radians(off) * profile.sin_alpha
     xy = np.column_stack((slant * np.sin(psi), -slant * np.cos(psi)))
-    return ProjectedPaths(np.split(xy, np.flatnonzero(first)[1:]), dropped)
+    return ProjectedPaths(_pieces(xy, first), dropped)
+
+
+def _pieces(xy: np.ndarray, first: np.ndarray) -> list:
+    """The rows of ``xy`` as one view per piece; ``first`` marks the rows
+    that start one, the first row among them."""
+    bounds = np.flatnonzero(first).tolist() + [len(xy)]
+    return [xy[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _wrap(lon: np.ndarray, center_deg: float) -> np.ndarray:
+    """Longitude offsets from the central meridian, in [-180, 180].
+
+    fmod and the shifts are exact; an exact +-180 keeps its sign, so the two
+    edges of the cut stay distinguishable.
+    """
+    off = np.fmod(lon - center_deg, 360.0)
+    off = np.where(off > 180.0, off - 360.0, off)
+    return np.where(off < -180.0, off + 360.0, off)
+
+
+def _split_at_seam(off, rho, first):
+    """Split pieces where they cross the cut meridian.
+
+    Unwrap the far vertex next to the near one and cut at the edge between
+    them (a point on each edge), or, for an edge-to-edge jump (o0 = +-180,
+    o1 = -+180, the same meridian seen from both sides), continue on the
+    destination edge.  Returns the new (off, rho, first) and the input
+    positions before which points went in.
+    """
+    jumps = np.diff(off)
+    seam = np.flatnonzero((np.abs(jumps) > 180.0) & ~first[1:])
+    o0, r0, o1, r1 = off[seam], rho[seam], off[seam + 1], rho[seam + 1]
+    o1u = o1 - np.copysign(360.0, jumps[seam])
+    turn = o1u == o0
+    over = ~turn
+    edge = np.copysign(180.0, o1u[over] - o0[over])
+    t = (edge - o0[over]) / (o1u[over] - o0[over])
+    rc = r0[over] + t * (r1[over] - r0[over])
+    at = np.concatenate((seam[over], seam[over], seam[turn])) + 1
+    return (
+        np.insert(off, at, np.concatenate((edge, -edge, o1[turn]))),
+        np.insert(rho, at, np.concatenate((rc, rc, r0[turn]))),
+        np.insert(first, at, np.arange(len(at)) >= len(edge)),
+        at,
+    )
+
+
+def _clip(off, rho, first, lo, hi):
+    """Clip pieces to the band lo <= rho <= hi.
+
+    One rule: a piece keeps its inside vertices, and each segment within a
+    piece gets one boundary point for each band boundary it crosses (none,
+    one, or two when it spans the band).  The first point of a segment that
+    starts outside starts a piece and lies on the boundary beyond the near
+    end; any other lies on the boundary beyond the far end.  A piece of one
+    vertex (an edge-to-edge first segment) is none.  np.repeat lays the
+    points out in segment order, so np.insert keeps a leaving point ahead of
+    the next entering one at the same place.  ``off`` may have leading
+    axes, one row a line that shares ``rho`` and ``first``.  Returns the new
+    (off, rho, first), the mask of the vertices kept, the segment of each
+    boundary point and the boundary points' positions in the output.
+    """
+    below, above = rho < lo, rho > hi
+    inside = ~(below | above)
+    keep = inside & ~(first & np.append(first[1:], True))  # a piece ends after the last vertex
+    crossed = np.add(below[:-1] != below[1:], above[:-1] != above[1:], dtype=np.intp)
+    segs = np.repeat(np.arange(len(crossed)), crossed * ~first[1:])
+    starts = (np.diff(segs, prepend=-1) != 0) & ~inside[segs]
+    bound = np.where(np.where(starts, below[segs], below[segs + 1]), lo, hi)
+    t = (bound - rho[segs]) / (rho[segs + 1] - rho[segs])
+    edge_off = off[..., segs] + t * (off[..., segs + 1] - off[..., segs])
+    at = np.cumsum(keep)[segs]
+    return (
+        np.insert(off[..., keep], at, edge_off, axis=-1),
+        np.insert(rho[keep], at, bound),
+        np.insert(first[keep], at, starts),
+        keep,
+        segs,
+        at + np.arange(len(at)),
+    )
+
+
+def _project_graticule(profile, grid: Graticule, center_deg: float) -> ProjectedPaths:
+    """``project_polylines`` of an unchanged graticule, by its product
+    structure: each meridian has one offset and the meridians share their
+    heights, each parallel has one height and the parallels share their
+    offsets.
+
+    Offsets are wrapped once per distinct longitude and heights taken once
+    per distinct latitude.  One template parallel is split at the seam and
+    one template meridian clipped, by the helpers of the general path.  A
+    parallel's longitudes step by 0.25 degrees, so the split leaves it no
+    piece of one vertex, and its one height lies wholly inside or outside
+    the band, so it is drawn whole or dropped.  Then one ``profile.s`` call
+    takes every distinct height, and sin and cos of psi are taken once per
+    distinct offset: once per meridian, and once per meridian at each
+    boundary point of its clip, whose offset o + t * (o - o) is 0.0 where o
+    is -0.0.  Every vertex is placed by broadcasting products of the same
+    doubles, so the paths and ``dropped`` are bit for bit those of the
+    general path.
+    """
+    lo, hi = profile.rho1, profile.rho2
+    sin_alpha = profile.sin_alpha
+    n_lons = len(grid.parallel_lons)
+    # offsets alone decide the split; the heights it interpolates are not used
+    p_off, _, p_first, _ = _split_at_seam(
+        _wrap(grid.parallel_lons, center_deg), np.zeros(n_lons), np.arange(n_lons) == 0
+    )
+    rows = len(grid.meridian_lons)
+    m_off = _wrap(grid.meridian_lons, center_deg)
+    m_rho = np.sin(np.radians(grid.meridian_lats))
+    m_offs, m_rho, m_first, _, _, edges = _clip(
+        np.broadcast_to(m_off[:, None], (rows, len(m_rho))),
+        m_rho, np.arange(len(m_rho)) == 0, lo, hi,
+    )
+    heights = np.sin(np.radians(grid.parallel_lats))
+    drawn = (heights >= lo) & (heights <= hi)  # the clip's inside test
+    heights = heights[drawn]
+    dropped = (0 if len(m_rho) else rows) + len(drawn) - len(heights)
+    if not len(m_rho) and not len(heights):
+        return ProjectedPaths([], dropped)
+
+    slant = profile.s(np.arccos(np.concatenate((m_rho, heights))))
+    m_slant, p_slant = slant[: len(m_rho)], slant[len(m_rho):, None]
+    psi = np.radians(m_off) * sin_alpha
+    m_sin = np.repeat(np.sin(psi)[:, None], len(m_rho), axis=1)
+    m_cos = np.repeat(np.cos(psi)[:, None], len(m_rho), axis=1)
+    psi = np.radians(m_offs[:, edges]) * sin_alpha
+    m_sin[:, edges], m_cos[:, edges] = np.sin(psi), np.cos(psi)
+    psi = np.radians(p_off) * sin_alpha
+    p_sin, p_cos = np.sin(psi), np.cos(psi)
+
+    xy = np.empty((m_offs.size + len(heights) * len(p_off), 2))
+    meridians = xy[: m_offs.size].reshape(rows, len(m_rho), 2)
+    parallels = xy[m_offs.size:].reshape(len(heights), len(p_off), 2)
+    np.multiply(m_slant, m_sin, out=meridians[..., 0])
+    np.multiply(-m_slant, m_cos, out=meridians[..., 1])
+    np.multiply(p_slant, p_sin, out=parallels[..., 0])
+    np.multiply(-p_slant, p_cos, out=parallels[..., 1])
+    first = np.concatenate((np.tile(m_first, rows), np.tile(p_first, len(heights))))
+    return ProjectedPaths(_pieces(xy, first), dropped)
 
 
 def _write_text(pieces, dest, what: str) -> None:

@@ -2,6 +2,7 @@
 and the CLI maps bad input and unwritable output to their exit codes."""
 
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -30,6 +31,7 @@ from conicmaps import (
 from conicmaps.cli import SUBCOMMANDS, build_parser, main, sigma_table
 from conicmaps.distortion import _distortion_in_a
 from conicmaps.errors import ValidationError
+from conicmaps.geodata import Graticule
 from conicmaps.projections import COMPARISON_ORDER, ProjectionParams
 from conftest import RHO1, RHO2
 
@@ -548,9 +550,13 @@ def test_render_svg_same_for_tuples_and_arrays():
     assert '<path d="M 0.50000000 0.50000000"/>' in doc
 
 
-def _scalar_paths(profile, lines, cut):
+def _scalar_paths(profile, lines, cut, memo=None):
     """project_polylines as a per-vertex loop: wrap, split at the seam, clip
-    to the band, then place each line's pieces with one profile call."""
+    to the band, then place each line's pieces with one profile call.
+
+    ``memo``, a dict, keeps each line's pieces by its vertices and the band,
+    for calls that share lines of the same vertices.
+    """
     center = math.degrees(cut) % 360.0 - 180.0
     lo, hi = profile.rho1, profile.rho2
 
@@ -597,17 +603,31 @@ def _scalar_paths(profile, lines, cut):
                 pieces.append(ends if prev[1] < v[1] else ends[::-1])
         return pieces + ([current] if len(current) >= 2 else [])
 
+    def pieces_of(line):
+        """The line's pieces as flat (offset, rho) arrays and where they split,
+        or None where the clip drops the line."""
+        vertices = np.asarray(line.points).tolist()  # Python floats, the same values
+        chain = [(wrap(lon - center), math.sin(math.radians(lat))) for lon, lat in vertices]
+        pieces = [c for piece in split(chain) for c in clip(piece)]
+        if not pieces:
+            return None
+        off, rho = np.array([v for piece in pieces for v in piece]).T
+        return off, rho, np.cumsum([len(p) for p in pieces])[:-1]
+
     paths, dropped = [], 0
     for line in lines:
-        chain = [(wrap(lon - center), math.sin(math.radians(lat))) for lon, lat in line.points]
-        pieces = [c for piece in split(chain) for c in clip(piece)]
-        dropped += not pieces
-        if pieces:
-            off, rho = np.array([v for piece in pieces for v in piece]).T
+        if memo is None:
+            pieces = pieces_of(line)
+        else:
+            key = (lo, hi, center, np.asarray(line.points).tobytes())
+            pieces = memo[key] if key in memo else memo.setdefault(key, pieces_of(line))
+        dropped += pieces is None
+        if pieces is not None:
+            off, rho, splits = pieces
             slant = profile.s(np.arccos(rho))
             psi = np.radians(off) * profile.sin_alpha
             xy = np.column_stack((slant * np.sin(psi), -slant * np.cos(psi)))
-            paths += np.split(xy, np.cumsum([len(p) for p in pieces])[:-1])
+            paths += np.split(xy, splits)
     return paths, dropped
 
 
@@ -670,6 +690,9 @@ GRATICULE_BANDS = [
     (0.94, 0.96),
     (-0.3, 0.9),  # np.linspace would round 65 of its 328 latitudes differently
 ]
+# The product path also meets bands whose clip drops a boundary parallel, and
+# one whose clip drops every line.
+GRATICULE_PRODUCT_BANDS = GRATICULE_BANDS + [(0.4, 0.5), (0.0, 0.5), (0.0, 1e-300)]
 
 
 @pytest.mark.parametrize("band", GRATICULE_BANDS)
@@ -699,6 +722,73 @@ def test_graticule_parallels_match_list_reference_on_random_bands_and_steps(seed
         assert [line.name for line in parallels] == [f"parallel {lat:g}" for lat in want]
         for line, lat in zip(parallels, want):
             assert (line.points[:, 1].view(np.int64) == _bits(lat)).all()
+
+
+# Cuts that put a parallel's vertex (179.75, -142.5) or a meridian (180,
+# -180, 0, 37.5 at lon_step 7.5) on the seam; at -1e-14 the central
+# longitude rounds to 180, so the -180 meridian's offset is -0.0 and its
+# clipped ends' offsets are 0.0.
+GRATICULE_CUTS = [180.0, -180.0, 0.0, 37.5, 179.75, -142.5, -1e-14]
+LON_STEPS = [10.0, 90.0, 7.5]
+
+
+def _assert_same_paths(projected, paths, dropped):
+    assert projected.dropped == dropped
+    assert len(projected.paths) == len(paths)
+    for got, want in zip(projected.paths, paths):
+        assert np.asarray(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cut_deg", GRATICULE_CUTS)
+@pytest.mark.parametrize("band", GRATICULE_PRODUCT_BANDS)
+def test_a_graticule_projects_as_the_scalar_loop(band, cut_deg):
+    """An unchanged Graticule takes the product path of project_polylines."""
+    cut = math.radians(cut_deg)
+    memo = {}
+    for kind in COMPARISON_ORDER:
+        if band == (0.0, 1e-300) and kind == "lambert":
+            continue  # an upward cone, rejected by make_profile
+        profile = make_profile(kind, ProjectionParams(*band))
+        for lon_step in LON_STEPS:
+            grid = graticule(lon_step, 5.0, SphericalAnnulus(*band))
+            assert type(grid) is Graticule
+            paths, dropped = _scalar_paths(profile, grid, cut, memo)
+            _assert_same_paths(project_polylines(profile, grid, cut), paths, dropped)
+
+
+def _counting_slant(profile):
+    """A copy of ``profile`` whose ``s`` records the size of each call."""
+    sizes = []
+
+    def s(e):
+        sizes.append(np.size(e))
+        return profile.s(e)
+
+    return dataclasses.replace(profile, s=s), sizes
+
+
+@pytest.mark.parametrize("change", ["append", "item", "slice", "sum", "none"])
+def test_a_changed_graticule_takes_the_general_path(change):
+    band = (0.4, 0.5)
+    profile, sizes = _counting_slant(make_profile("central", ProjectionParams(*band)))
+    grid = graticule(10.0, 5.0, SphericalAnnulus(*band))
+    extra = GeoPolyline("extra", [(0.0, 24.0), (10.0, 28.0)])
+    if change == "append":
+        grid.append(extra)
+    elif change == "item":
+        grid[3] = extra
+    elif change == "slice":
+        grid = grid[:]
+    elif change == "sum":
+        grid = grid + [extra]
+    projected = project_polylines(profile, grid, math.pi)
+    vertices = sum(map(len, projected.paths))
+    if change == "none":
+        assert len(sizes) == 1 and sizes[0] < vertices  # one slant a height
+        return
+    assert sizes == [vertices]  # one slant a vertex
+    paths, dropped = _scalar_paths(profile, grid, math.pi)
+    _assert_same_paths(projected, paths, dropped)
 
 
 BAD_POLYLINES = [

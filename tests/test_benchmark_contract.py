@@ -18,6 +18,8 @@ import pytest
 import conicmaps
 import conicmaps.cli
 from conicmaps import (
+    SphericalAnnulus,
+    graticule,
     make_profile,
     parse_geojson_lines,
     profile_distortion,
@@ -82,6 +84,38 @@ def test_profiles_copy_with_replaced_slant_functions(kind):
     copy = dataclasses.replace(profile, s=counted(profile.s), s_prime=counted(profile.s_prime))
     assert profile_distortion(copy) == profile_distortion(profile)
     assert calls == [len(profile.candidate_stretches()[0])] * 2
+
+
+@pytest.mark.parametrize("kind", COMPARISON_ORDER)
+def test_a_graticule_is_projected_with_one_profile_call(kind):
+    profile = make_profile(kind, ProjectionParams(RHO1, RHO2))
+    sizes = []
+
+    def s(e):
+        sizes.append(np.size(e))
+        return profile.s(e)
+
+    grid = graticule(10.0, 5.0, SphericalAnnulus(RHO1, RHO2))
+    projected = project_polylines(dataclasses.replace(profile, s=s), grid, math.pi)
+    assert projected.dropped == 0
+    # one slant a distinct height: the meridians' and the parallels'
+    assert sizes == [len(grid.meridian_lats) + len(grid.parallel_lats)]
+
+
+def test_a_traced_map_makes_four_profile_calls(tmp_path):
+    fixture = ROOT / "tests" / "data" / "map_fixture.geojson"
+    argv = ["project", str(fixture), "--cut=37.5", "--out", str(tmp_path / "map.svg")]
+    tracer = tracing.Tracer(conicmaps)
+    tracer.install()
+    try:
+        tracer.begin(0, "project")
+        assert conicmaps.cli.main(argv) == 0
+        tracer.end()
+    finally:
+        tracer.uninstall()
+    # s and s_prime at the candidate heights, s for the graticule, s for the lines
+    assert tracer.reduce()["projections.profile_calls"] == [4, 0]
+    assert tracer.notes["geodata.project_polylines"] == [0, 1]
 
 
 def test_notes_read_the_geodata_results():
