@@ -232,8 +232,9 @@ class Graticule(list):
     every one of ``parallel_lons``.
 
     ``project_polylines`` projects an unchanged Graticule by this product
-    structure.  Once its items change it is a list of lines like any other,
-    as are its slices and sums.
+    structure, and draws a boundary parallel whose height rounds outside the
+    band on the band's edge.  Once its items change it is a list of lines
+    like any other, as are its slices and sums.
     """
 
     def __init__(self, lines, meridian_lons, meridian_lats, parallel_lats, parallel_lons):
@@ -313,8 +314,10 @@ def project_polylines(
     rho).  The splits, the clip and the placement on the plane are each a
     few array calls over every vertex at once, with one call of the profile;
     no Python loop runs over vertices.  An unchanged :class:`Graticule` is
-    projected by its product structure instead (see
-    :func:`_project_graticule`).  Each path is an (n, 2) view of one array.
+    projected by its product structure instead, with the same paths, but
+    that a boundary parallel whose height rounds outside the band is drawn
+    on its edge (see :func:`_project_graticule`).  Each path is an (n, 2)
+    view of one array.
     Input polylines that vanish entirely in clipping are dropped and
     counted.
     """
@@ -449,13 +452,16 @@ def _project_graticule(profile, grid: Graticule, center_deg: float) -> Projected
     one template meridian clipped, by the helpers of the general path.  A
     parallel's longitudes step by 0.25 degrees, so the split leaves it no
     piece of one vertex, and its one height lies wholly inside or outside
-    the band, so it is drawn whole or dropped.  Then one ``profile.s`` call
+    the band, so it is drawn whole or dropped; a boundary parallel whose
+    height rounds outside the band is drawn on the band's edge instead,
+    where the clip ends the meridians, so it is not dropped as it is on the
+    general path.  Then one ``profile.s`` call
     takes every distinct height, and sin and cos of psi are taken once per
     distinct offset: once per meridian, and once per meridian at each
     boundary point of its clip, whose offset o + t * (o - o) is 0.0 where o
     is -0.0.  Every vertex is placed by broadcasting products of the same
     doubles, so the paths and ``dropped`` are bit for bit those of the
-    general path.
+    general path, but for those boundary arcs.
     """
     lo, hi = profile.rho1, profile.rho2
     sin_alpha = profile.sin_alpha
@@ -472,6 +478,10 @@ def _project_graticule(profile, grid: Graticule, center_deg: float) -> Projected
         m_rho, np.arange(len(m_rho)) == 0, lo, hi,
     )
     heights = np.sin(np.radians(grid.parallel_lats))
+    if len(m_rho):
+        # A boundary parallel's height can round outside the band; draw it on
+        # the band's edge, where the clip ends the meridians.
+        heights[0], heights[-1] = max(heights[0], lo), min(heights[-1], hi)
     drawn = (heights >= lo) & (heights <= hi)  # the clip's inside test
     heights = heights[drawn]
     dropped = (0 if len(m_rho) else rows) + len(drawn) - len(heights)

@@ -550,13 +550,15 @@ def test_render_svg_same_for_tuples_and_arrays():
     assert '<path d="M 0.50000000 0.50000000"/>' in doc
 
 
-def _scalar_paths(profile, lines, cut, memo=None):
+def _scalar_paths(profile, lines, cut, memo=None, heights=None):
     """project_polylines as a per-vertex loop: wrap, split at the seam, clip
     to the band, then place each line's pieces with one profile call.
 
     ``memo``, a dict, keeps each line's pieces by its vertices and the band,
-    for calls that share lines of the same vertices.
+    for calls that share lines of the same vertices.  ``heights`` maps the
+    index of a line to the one height its vertices are taken at.
     """
+    heights = heights or {}
     center = math.degrees(cut) % 360.0 - 180.0
     lo, hi = profile.rho1, profile.rho2
 
@@ -603,11 +605,14 @@ def _scalar_paths(profile, lines, cut, memo=None):
                 pieces.append(ends if prev[1] < v[1] else ends[::-1])
         return pieces + ([current] if len(current) >= 2 else [])
 
-    def pieces_of(line):
+    def pieces_of(line, height):
         """The line's pieces as flat (offset, rho) arrays and where they split,
         or None where the clip drops the line."""
         vertices = np.asarray(line.points).tolist()  # Python floats, the same values
-        chain = [(wrap(lon - center), math.sin(math.radians(lat))) for lon, lat in vertices]
+        chain = [
+            (wrap(lon - center), math.sin(math.radians(lat)) if height is None else height)
+            for lon, lat in vertices
+        ]
         pieces = [c for piece in split(chain) for c in clip(piece)]
         if not pieces:
             return None
@@ -615,12 +620,13 @@ def _scalar_paths(profile, lines, cut, memo=None):
         return off, rho, np.cumsum([len(p) for p in pieces])[:-1]
 
     paths, dropped = [], 0
-    for line in lines:
+    for i, line in enumerate(lines):
+        height = heights.get(i)
         if memo is None:
-            pieces = pieces_of(line)
+            pieces = pieces_of(line, height)
         else:
-            key = (lo, hi, center, np.asarray(line.points).tobytes())
-            pieces = memo[key] if key in memo else memo.setdefault(key, pieces_of(line))
+            key = (lo, hi, center, height, np.asarray(line.points).tobytes())
+            pieces = memo[key] if key in memo else memo.setdefault(key, pieces_of(line, height))
         dropped += pieces is None
         if pieces is not None:
             off, rho, splits = pieces
@@ -693,6 +699,7 @@ GRATICULE_BANDS = [
 # The product path also meets bands whose clip drops a boundary parallel, and
 # one whose clip drops every line.
 GRATICULE_PRODUCT_BANDS = GRATICULE_BANDS + [(0.4, 0.5), (0.0, 0.5), (0.0, 1e-300)]
+ARC_BANDS = [(0.4, 0.5), (0.0, 0.5)]  # whose clip drops a boundary parallel
 
 
 @pytest.mark.parametrize("band", GRATICULE_BANDS)
@@ -739,10 +746,25 @@ def _assert_same_paths(projected, paths, dropped):
         assert np.asarray(got).tobytes() == want.tobytes()
 
 
+def _boundary_arcs(profile, grid, cut, memo):
+    """{line index: band edge} of the boundary parallels whose height lies
+    outside the band while the meridians are drawn: the product path draws
+    them on that edge, where the clip ends the meridians."""
+    meridians = len(grid.meridian_lons)
+    if _scalar_paths(profile, grid[:meridians], cut, memo)[1] == meridians:
+        return {}
+    (_, lat1), (_, lat2) = grid[meridians].points[0], grid[-1].points[0]
+    arcs = {meridians: profile.rho1} if math.sin(math.radians(lat1)) < profile.rho1 else {}
+    if math.sin(math.radians(lat2)) > profile.rho2:
+        arcs[len(grid) - 1] = profile.rho2
+    return arcs
+
+
 @pytest.mark.parametrize("cut_deg", GRATICULE_CUTS)
 @pytest.mark.parametrize("band", GRATICULE_PRODUCT_BANDS)
 def test_a_graticule_projects_as_the_scalar_loop(band, cut_deg):
-    """An unchanged Graticule takes the product path of project_polylines."""
+    """An unchanged Graticule takes the product path of project_polylines:
+    the scalar loop's paths, plus the boundary arcs it drops."""
     cut = math.radians(cut_deg)
     memo = {}
     for kind in COMPARISON_ORDER:
@@ -752,7 +774,9 @@ def test_a_graticule_projects_as_the_scalar_loop(band, cut_deg):
         for lon_step in LON_STEPS:
             grid = graticule(lon_step, 5.0, SphericalAnnulus(*band))
             assert type(grid) is Graticule
-            paths, dropped = _scalar_paths(profile, grid, cut, memo)
+            arcs = _boundary_arcs(profile, grid, cut, memo)
+            assert bool(arcs) == (band in ARC_BANDS)
+            paths, dropped = _scalar_paths(profile, grid, cut, memo, arcs)
             _assert_same_paths(project_polylines(profile, grid, cut), paths, dropped)
 
 
