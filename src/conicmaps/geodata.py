@@ -317,9 +317,8 @@ def project_polylines(
     projected by its product structure instead, with the same paths, but
     that a boundary parallel whose height rounds outside the band is drawn
     on its edge (see :func:`_project_graticule`).  Each path is an (n, 2)
-    view of one array.
-    Input polylines that vanish entirely in clipping are dropped and
-    counted.
+    view of one array.  Input polylines that vanish entirely in clipping are
+    dropped and counted.
     """
     if not lines:
         return ProjectedPaths([], 0)
@@ -441,7 +440,9 @@ def _clip(off, rho, first, lo, hi):
     )
 
 
-def _project_graticule(profile, grid: Graticule, center_deg: float) -> ProjectedPaths:
+def _project_graticule(
+    profile: MeridianProfile, grid: Graticule, center_deg: float
+) -> ProjectedPaths:
     """``project_polylines`` of an unchanged graticule, by its product
     structure: each meridian has one offset and the meridians share their
     heights, each parallel has one height and the parallels share their
@@ -452,16 +453,15 @@ def _project_graticule(profile, grid: Graticule, center_deg: float) -> Projected
     one template meridian clipped, by the helpers of the general path.  A
     parallel's longitudes step by 0.25 degrees, so the split leaves it no
     piece of one vertex, and its one height lies wholly inside or outside
-    the band, so it is drawn whole or dropped; a boundary parallel whose
+    the band, so it is drawn whole or dropped.  A boundary parallel whose
     height rounds outside the band is drawn on the band's edge instead,
-    where the clip ends the meridians, so it is not dropped as it is on the
-    general path.  Then one ``profile.s`` call
-    takes every distinct height, and sin and cos of psi are taken once per
-    distinct offset: once per meridian, and once per meridian at each
-    boundary point of its clip, whose offset o + t * (o - o) is 0.0 where o
-    is -0.0.  Every vertex is placed by broadcasting products of the same
-    doubles, so the paths and ``dropped`` are bit for bit those of the
-    general path, but for those boundary arcs.
+    where the clip ends the meridians; the general path drops it.  Then one
+    ``profile.s`` call takes every distinct height, and sin and cos of psi
+    are taken once per distinct offset: once per meridian, and once per
+    meridian at each boundary point of its clip, whose offset o + t * (o - o)
+    is 0.0 where o is -0.0.  Every vertex is placed by broadcasting products
+    of the same doubles, so the paths and ``dropped`` are bit for bit those
+    of the general path, but for those boundary arcs.
     """
     lo, hi = profile.rho1, profile.rho2
     sin_alpha = profile.sin_alpha
