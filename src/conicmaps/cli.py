@@ -36,7 +36,7 @@ from .distortion import (
     optimal_alpha_by_scan,
 )
 from .cone import second_intersection_height
-from .errors import NoIntersection, ParseError, UnsupportedGeometry, ValidationError
+from .errors import NoIntersection, ParseError, ValidationError
 from .geodata import (
     CurveTable,
     SvgStyle,
@@ -197,9 +197,9 @@ def sigma_table(rho1: float, rho2: float, n: int = 1001) -> CurveTable:
     """Bi-Lipschitz constant of the six kinds at n evenly spaced heights."""
     profiles = list(projections._band_profiles(ProjectionParams(rho1, rho2)).values())
     rho = rho1 + (rho2 - rho1) * np.arange(n) / (n - 1)
-    # A profile's bounds are cos(acos(rho)), which can sit an ulp inside the
-    # band's edges; stretch_at clamps the same way.
-    inside = np.minimum(np.maximum(rho, profiles[0].rho1), profiles[0].rho2)
+    # The grid can round an ulp outside the band; take it onto the band's
+    # edges, as stretch_at does.
+    inside = np.minimum(np.maximum(rho, rho1), rho2)
     eps = np.array([math.acos(r) for r in inside.tolist()])
     columns = [rho]
     for profile in profiles:
@@ -273,9 +273,6 @@ def cmd_project(args: argparse.Namespace) -> int:
     _require_positive(*profile.candidate_stretches()[1:])
     annulus = SphericalAnnulus(args.rho1, args.rho2)
     grat = project_polylines(profile, graticule(10.0, 5.0, annulus), cut)
-    if not grat.paths:  # the clip to the profile's band dropped every line
-        raise UnsupportedGeometry(f"rho1 = {args.rho1:.6g} and rho2 = {args.rho2:.6g} give a band "
-                                  "whose graticule projects to no path; not supported")
     overlays = []
     if args.geojson is not None:
         try:

@@ -9,9 +9,10 @@ vertex is checked once.  Clipping to the annulus and splitting at the
 cut meridian both happen in (longitude offset, rho) space, where the
 boundaries are coordinate-aligned; only the final step maps to the drawing
 plane.  Every stage is an array call over the vertices of all lines at once,
-except for a graticule: its meridians share their latitudes and its
-parallels their longitudes, so it is projected by that product structure,
-with each distinct longitude, latitude and offset evaluated once.
+except for a graticule: its vertices lie in the band by construction, its
+meridians share their latitudes and its parallels their longitudes, so it
+is projected by that product structure, with each distinct longitude,
+latitude and offset evaluated once and nothing clipped.
 The numbers of the CSV and SVG text come from the array decimal writer of
 ``decimals``, byte for byte what ``'%.17g' % v`` and ``'%.8f' % v`` give.
 """
@@ -222,7 +223,19 @@ def parse_geojson_lines(document: str) -> ParsedLines:
 
 def _frange_inclusive(lo: float, hi: float, max_step: float) -> np.ndarray:
     n = max(1, math.ceil((hi - lo) / max_step - 1e-9))
-    return lo + (hi - lo) * np.arange(n + 1) / n
+    values = lo + (hi - lo) * np.arange(n + 1) / n
+    values[-1] = hi  # lo + (hi - lo) can round past hi
+    return values
+
+
+def _edge_latitude(rho: float, inward: float) -> float:
+    """The double nearest degrees(asin(rho)) whose height sin(radians(lat)),
+    as the projection takes it, is not beyond the band edge rho: stepped one
+    double at a time towards ``inward`` (90 or -90) while it is."""
+    lat = math.degrees(math.asin(rho))
+    while (np.sin(np.radians(lat)) - rho) * inward < 0.0:
+        lat = math.nextafter(lat, inward)
+    return lat
 
 
 class Graticule(list):
@@ -232,9 +245,8 @@ class Graticule(list):
     every one of ``parallel_lons``.
 
     ``project_polylines`` projects an unchanged Graticule by this product
-    structure, and draws a boundary parallel whose height rounds outside the
-    band on the band's edge.  Once its items change it is a list of lines
-    like any other, as are its slices and sums.
+    structure, with the same paths as its list.  Once its items change it is
+    a list of lines like any other, as are its slices and sums.
     """
 
     def __init__(self, lines, meridian_lons, meridian_lats, parallel_lats, parallel_lons):
@@ -255,17 +267,18 @@ def graticule(lon_step: float, lat_step: float, annulus: SphericalAnnulus) -> Gr
     [-180, 180], so the +-180 meridian appears twice: once per edge of the
     developed sector.  Parallels sit at the two band boundaries plus every
     multiple of ``lat_step`` strictly inside the band, at most 10,000 of
-    them.  All polylines are densified to at most 0.25 degrees between
-    vertices; their points are the rows of one read-only array per family,
-    built by broadcasting from the four read-only axes the returned
-    :class:`Graticule` keeps, and checked once.
+    them.  A boundary latitude is the double nearest degrees(asin(rho))
+    whose height lies in the band, and the meridians end on the two, so
+    every vertex's height lies in [rho1, rho2].  All polylines are densified
+    to at most 0.25 degrees between vertices; their points are the rows of
+    one read-only array per family, built by broadcasting from the four
+    read-only axes the returned :class:`Graticule` keeps, and checked once.
     """
     if lon_step <= 0.0 or lat_step <= 0.0:
         raise ValueError("graticule steps must be positive")
     if (n := round(360.0 / lon_step)) < 1 or abs(360.0 / lon_step - n) > 1e-9:
         raise ValueError(f"longitude step {lon_step} does not divide 360")
-    lat1 = math.degrees(math.asin(annulus.rho1))
-    lat2 = math.degrees(math.asin(annulus.rho2))
+    lat1, lat2 = _edge_latitude(annulus.rho1, 90.0), _edge_latitude(annulus.rho2, -90.0)
     if (lat2 - lat1) / lat_step > _MAX_PARALLELS:
         raise ValueError(f"latitude step {lat_step} gives over {_MAX_PARALLELS:,} parallels")
 
@@ -314,9 +327,8 @@ def project_polylines(
     rho).  The splits, the clip and the placement on the plane are each a
     few array calls over every vertex at once, with one call of the profile;
     no Python loop runs over vertices.  An unchanged :class:`Graticule` is
-    projected by its product structure instead, with the same paths, but
-    that a boundary parallel whose height rounds outside the band is drawn
-    on its edge (see :func:`_project_graticule`).  Each path is an (n, 2)
+    projected by its product structure instead, with the same paths and
+    none dropped (see :func:`_project_graticule`).  Each path is an (n, 2)
     view of one array.  Input polylines that vanish entirely in clipping are
     dropped and counted.
     """
@@ -346,7 +358,7 @@ def project_polylines(
     first = np.diff(line_id, prepend=-1) != 0  # starts a piece
     off, rho, first, at = _split_at_seam(_wrap(lon, center_deg), np.sin(np.radians(lat)), first)
     line_id = np.insert(line_id, at, line_id[at - 1])
-    off, rho, first, keep, segs, _ = _clip(off, rho, first, profile.rho1, profile.rho2)
+    off, rho, first, keep, segs = _clip(off, rho, first, profile.rho1, profile.rho2)
 
     drawn = np.zeros(len(points), bool)
     drawn[line_id[keep]] = True
@@ -415,10 +427,9 @@ def _clip(off, rho, first, lo, hi):
     end; any other lies on the boundary beyond the far end.  A piece of one
     vertex (an edge-to-edge first segment) is none.  np.repeat lays the
     points out in segment order, so np.insert keeps a leaving point ahead of
-    the next entering one at the same place.  ``off`` may have leading
-    axes, one row a line that shares ``rho`` and ``first``.  Returns the new
-    (off, rho, first), the mask of the vertices kept, the segment of each
-    boundary point and the boundary points' positions in the output.
+    the next entering one at the same place.  Returns the new (off, rho,
+    first), the mask of the vertices kept and the segment of each boundary
+    point.
     """
     below, above = rho < lo, rho > hi
     inside = ~(below | above)
@@ -428,15 +439,13 @@ def _clip(off, rho, first, lo, hi):
     starts = (np.diff(segs, prepend=-1) != 0) & ~inside[segs]
     bound = np.where(np.where(starts, below[segs], below[segs + 1]), lo, hi)
     t = (bound - rho[segs]) / (rho[segs + 1] - rho[segs])
-    edge_off = off[..., segs] + t * (off[..., segs + 1] - off[..., segs])
     at = np.cumsum(keep)[segs]
     return (
-        np.insert(off[..., keep], at, edge_off, axis=-1),
+        np.insert(off[keep], at, off[segs] + t * (off[segs + 1] - off[segs])),
         np.insert(rho[keep], at, bound),
         np.insert(first[keep], at, starts),
         keep,
         segs,
-        at + np.arange(len(at)),
     )
 
 
@@ -448,65 +457,38 @@ def _project_graticule(
     heights, each parallel has one height and the parallels share their
     offsets.
 
-    Offsets are wrapped once per distinct longitude and heights taken once
-    per distinct latitude.  One template parallel is split at the seam and
-    one template meridian clipped, by the helpers of the general path.  A
-    parallel's longitudes step by 0.25 degrees, so the split leaves it no
-    piece of one vertex, and its one height lies wholly inside or outside
-    the band, so it is drawn whole or dropped.  A boundary parallel whose
-    height rounds outside the band is drawn on the band's edge instead,
-    where the clip ends the meridians; the general path drops it.  Then one
-    ``profile.s`` call takes every distinct height, and sin and cos of psi
-    are taken once per distinct offset: once per meridian, and once per
-    meridian at each boundary point of its clip, whose offset o + t * (o - o)
-    is 0.0 where o is -0.0.  Every vertex is placed by broadcasting products
-    of the same doubles, so the paths and ``dropped`` are bit for bit those
-    of the general path, but for those boundary arcs.
+    Every vertex lies in the band (see :func:`graticule`), so nothing is
+    clipped and nothing dropped.  Offsets are wrapped once per distinct
+    longitude and heights taken once per distinct latitude, and one
+    ``profile.s`` call takes every distinct height.  One template parallel
+    is split at the seam by the general path's helper; its longitudes step
+    by 0.25 degrees, so the split leaves it no piece of one vertex.  sin and
+    cos of psi are taken once per meridian and once per offset of the
+    template.  Every vertex is placed by broadcasting products of the same
+    doubles, so the paths are bit for bit those of the general path.
     """
-    lo, hi = profile.rho1, profile.rho2
-    sin_alpha = profile.sin_alpha
     n_lons = len(grid.parallel_lons)
     # offsets alone decide the split; the heights it interpolates are not used
     p_off, _, p_first, _ = _split_at_seam(
         _wrap(grid.parallel_lons, center_deg), np.zeros(n_lons), np.arange(n_lons) == 0
     )
-    rows = len(grid.meridian_lons)
-    m_off = _wrap(grid.meridian_lons, center_deg)
     m_rho = np.sin(np.radians(grid.meridian_lats))
-    m_offs, m_rho, m_first, _, _, edges = _clip(
-        np.broadcast_to(m_off[:, None], (rows, len(m_rho))),
-        m_rho, np.arange(len(m_rho)) == 0, lo, hi,
-    )
     heights = np.sin(np.radians(grid.parallel_lats))
-    if len(m_rho):
-        # A boundary parallel's height can round outside the band; draw it on
-        # the band's edge, where the clip ends the meridians.
-        heights[0], heights[-1] = max(heights[0], lo), min(heights[-1], hi)
-    drawn = (heights >= lo) & (heights <= hi)  # the clip's inside test
-    heights = heights[drawn]
-    dropped = (0 if len(m_rho) else rows) + len(drawn) - len(heights)
-    if not len(m_rho) and not len(heights):
-        return ProjectedPaths([], dropped)
-
     slant = profile.s(np.arccos(np.concatenate((m_rho, heights))))
     m_slant, p_slant = slant[: len(m_rho)], slant[len(m_rho):, None]
-    psi = np.radians(m_off) * sin_alpha
-    m_sin = np.repeat(np.sin(psi)[:, None], len(m_rho), axis=1)
-    m_cos = np.repeat(np.cos(psi)[:, None], len(m_rho), axis=1)
-    psi = np.radians(m_offs[:, edges]) * sin_alpha
-    m_sin[:, edges], m_cos[:, edges] = np.sin(psi), np.cos(psi)
-    psi = np.radians(p_off) * sin_alpha
-    p_sin, p_cos = np.sin(psi), np.cos(psi)
+    m_psi = np.radians(_wrap(grid.meridian_lons, center_deg))[:, None] * profile.sin_alpha
+    p_psi = np.radians(p_off) * profile.sin_alpha
 
-    xy = np.empty((m_offs.size + len(heights) * len(p_off), 2))
-    meridians = xy[: m_offs.size].reshape(rows, len(m_rho), 2)
-    parallels = xy[m_offs.size:].reshape(len(heights), len(p_off), 2)
-    np.multiply(m_slant, m_sin, out=meridians[..., 0])
-    np.multiply(-m_slant, m_cos, out=meridians[..., 1])
-    np.multiply(p_slant, p_sin, out=parallels[..., 0])
-    np.multiply(-p_slant, p_cos, out=parallels[..., 1])
-    first = np.concatenate((np.tile(m_first, rows), np.tile(p_first, len(heights))))
-    return ProjectedPaths(_pieces(xy, first), dropped)
+    rows, cols = len(grid.meridian_lons), len(m_rho)
+    xy = np.empty((rows * cols + len(heights) * len(p_off), 2))
+    meridians = xy[: rows * cols].reshape(rows, cols, 2)
+    parallels = xy[rows * cols:].reshape(len(heights), len(p_off), 2)
+    np.multiply(m_slant, np.sin(m_psi), out=meridians[..., 0])
+    np.multiply(-m_slant, np.cos(m_psi), out=meridians[..., 1])
+    np.multiply(p_slant, np.sin(p_psi), out=parallels[..., 0])
+    np.multiply(-p_slant, np.cos(p_psi), out=parallels[..., 1])
+    first = np.concatenate((np.tile(np.arange(cols) == 0, rows), np.tile(p_first, len(heights))))
+    return ProjectedPaths(_pieces(xy, first), 0)
 
 
 def _write_text(pieces, dest, what: str) -> None:

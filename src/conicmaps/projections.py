@@ -85,8 +85,10 @@ class ProjectionParams(_Record):
 class MeridianProfile:
     """A projection encoded as slant distance against colatitude.
 
-    ``eps_hi < eps_lo``: the upper parallel (height rho2) has the smaller
-    colatitude.  ``s`` and ``s_prime`` take a float or a float array.
+    ``rho1 < rho2`` are the band's heights and ``eps_lo``, ``eps_hi`` their
+    colatitudes, ``eps_hi < eps_lo``: the upper parallel has the smaller
+    colatitude.  A profile built from colatitudes alone takes cos of them as
+    its band.  ``s`` and ``s_prime`` take a float or a float array.
     ``aux`` carries per-kind derived constants (scale factor, dilatation and
     both moduli, optimal angle) for reporting.  ``critical`` holds every
     colatitude, in or out of the band, where either principal stretch can
@@ -102,14 +104,14 @@ class MeridianProfile:
     s_prime: Callable[[np.ndarray], np.ndarray]
     aux: dict = field(default_factory=dict)
     critical: tuple[float, ...] | None = None
+    rho1: float | None = None
+    rho2: float | None = None
 
-    @property
-    def rho1(self) -> float:
-        return math.cos(self.eps_lo)
-
-    @property
-    def rho2(self) -> float:
-        return math.cos(self.eps_hi)
+    def __post_init__(self):
+        if self.rho1 is None:
+            object.__setattr__(self, "rho1", math.cos(self.eps_lo))
+        if self.rho2 is None:
+            object.__setattr__(self, "rho2", math.cos(self.eps_hi))
 
     @property
     def sin_alpha(self) -> float:
@@ -136,7 +138,7 @@ class MeridianProfile:
         return (eps, *self.stretches(eps))
 
 
-def _power_profile(kind, cone, eps1, eps2, s1, m, aux) -> MeridianProfile:
+def _power_profile(kind, cone, eps1, eps2, s1, m, aux, band) -> MeridianProfile:
     """Radial power map s = s1 * (tan(eps/2) / tan(eps1/2))**m.
 
     Both stretches are s * (m or sin alpha) / sin(eps), whose logarithmic
@@ -151,7 +153,7 @@ def _power_profile(kind, cone, eps1, eps2, s1, m, aux) -> MeridianProfile:
         return s(e) * m / np.sin(e)
 
     critical = (math.acos(m),) if abs(m) < 1.0 else ()
-    return MeridianProfile(kind, cone, eps1, eps2, s, s_prime, aux, critical)
+    return MeridianProfile(kind, cone, eps1, eps2, s, s_prime, aux, critical, *band)
 
 
 def _affine_parallel_critical(s_a, eps_a, k, eps_hi, eps_lo) -> tuple[float, ...]:
@@ -188,7 +190,7 @@ def _affine_parallel_critical(s_a, eps_a, k, eps_hi, eps_lo) -> tuple[float, ...
     return (e,)
 
 
-def _affine_profile(kind, cone, eps1, eps2, s_a, eps_a, k, aux) -> MeridianProfile:
+def _affine_profile(kind, cone, eps1, eps2, s_a, eps_a, k, aux, band) -> MeridianProfile:
     """Profile affine in colatitude: s = s_a + k * (eps - eps_a).
 
     The meridian stretch is the constant k, so only the parallel stretch
@@ -202,12 +204,12 @@ def _affine_profile(kind, cone, eps1, eps2, s_a, eps_a, k, aux) -> MeridianProfi
         return np.full_like(e, k, dtype=float)
 
     critical = _affine_parallel_critical(s_a, eps_a, k, eps2, eps1)
-    return MeridianProfile(kind, cone, eps1, eps2, s, s_prime, aux, critical)
+    return MeridianProfile(kind, cone, eps1, eps2, s, s_prime, aux, critical, *band)
 
 
 def make_profile(kind: str, params: ProjectionParams) -> MeridianProfile:
     """Construct the meridian profile for one projection kind."""
-    rho1, rho2 = params.rho1, params.rho2
+    band = rho1, rho2 = params.rho1, params.rho2
     eps1 = math.acos(rho1)
     eps2 = math.acos(rho2)
 
@@ -218,7 +220,7 @@ def make_profile(kind: str, params: ProjectionParams) -> MeridianProfile:
         cone = lambert_chart(alpha0, rho1).cone
         a0 = math.sin(alpha0)
         s1 = _parallel_radius(rho1) / a0
-        return _power_profile(kind, cone, eps1, eps2, s1, a0, {"sin_alpha0": a0})
+        return _power_profile(kind, cone, eps1, eps2, s1, a0, {"sin_alpha0": a0}, band)
 
     if params.alpha_override is not None:
         raise ValueError(
@@ -246,7 +248,7 @@ def make_profile(kind: str, params: ProjectionParams) -> MeridianProfile:
         def s_prime(e):
             return apex * sa / np.sin(e + alpha) ** 2
 
-        return MeridianProfile(kind, cone, eps1, eps2, s, s_prime, critical=(foot,))
+        return MeridianProfile(kind, cone, eps1, eps2, s, s_prime, {}, (foot,), *band)
 
     if kind == KIND_ORTHOGONAL:
 
@@ -259,7 +261,7 @@ def make_profile(kind: str, params: ProjectionParams) -> MeridianProfile:
         # The parallel stretch sa^2 + sa ca (apex - cos eps) / sin eps has
         # derivative sa ca (1 - apex cos eps) / sin^2 eps.
         critical = (foot, math.acos(1.0 / apex)) if apex > 1.0 else (foot,)
-        return MeridianProfile(kind, cone, eps1, eps2, s, s_prime, critical=critical)
+        return MeridianProfile(kind, cone, eps1, eps2, s, s_prime, {}, critical, *band)
 
     if kind == KIND_DELISLE:
         # s1 - s2 is the meridian chord between the parallels and eps1 - eps2
@@ -268,11 +270,11 @@ def make_profile(kind: str, params: ProjectionParams) -> MeridianProfile:
         w = rho2 - rho1
         chord = math.hypot(w * (rho1 + rho2) / (r1 + r2), w)
         scale = chord / (2.0 * math.asin(0.5 * chord))
-        return _affine_profile(kind, cone, eps1, eps2, s2, eps2, scale, {"scale": scale})
+        return _affine_profile(kind, cone, eps1, eps2, s2, eps2, scale, {"scale": scale}, band)
 
     if kind == KIND_DELISLE_EQUIDISTANT:
         # Meridians are isometric; the lower boundary circle is the anchor.
-        return _affine_profile(kind, cone, eps1, eps2, s1, eps1, 1.0, {})
+        return _affine_profile(kind, cone, eps1, eps2, s1, eps1, 1.0, {}, band)
 
     if kind == KIND_TEICHMULLER:
         # log(s1/s2) = log(r1^2/r2^2) / 2; the sphere's modulus is t / (4 pi).
@@ -281,7 +283,7 @@ def make_profile(kind: str, params: ProjectionParams) -> MeridianProfile:
         mod_sphere = t / (4.0 * math.pi)
         dil = mod_cone / mod_sphere
         aux = {"dilatation": dil, "mod_sphere": mod_sphere, "mod_cone": mod_cone}
-        return _power_profile(kind, cone, eps1, eps2, s1, dil * sa, aux)
+        return _power_profile(kind, cone, eps1, eps2, s1, dil * sa, aux, band)
 
     raise InvalidKind(f"unknown projection kind {kind!r}")
 

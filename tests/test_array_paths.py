@@ -10,6 +10,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, reject, settings
+from hypothesis import strategies as st
 
 from conicmaps import (
     CurveTable,
@@ -550,15 +552,13 @@ def test_render_svg_same_for_tuples_and_arrays():
     assert '<path d="M 0.50000000 0.50000000"/>' in doc
 
 
-def _scalar_paths(profile, lines, cut, memo=None, heights=None):
+def _scalar_paths(profile, lines, cut, memo=None):
     """project_polylines as a per-vertex loop: wrap, split at the seam, clip
     to the band, then place each line's pieces with one profile call.
 
     ``memo``, a dict, keeps each line's pieces by its vertices and the band,
-    for calls that share lines of the same vertices.  ``heights`` maps the
-    index of a line to the one height its vertices are taken at.
+    for calls that share lines of the same vertices.
     """
-    heights = heights or {}
     center = math.degrees(cut) % 360.0 - 180.0
     lo, hi = profile.rho1, profile.rho2
 
@@ -605,14 +605,11 @@ def _scalar_paths(profile, lines, cut, memo=None, heights=None):
                 pieces.append(ends if prev[1] < v[1] else ends[::-1])
         return pieces + ([current] if len(current) >= 2 else [])
 
-    def pieces_of(line, height):
+    def pieces_of(line):
         """The line's pieces as flat (offset, rho) arrays and where they split,
         or None where the clip drops the line."""
         vertices = np.asarray(line.points).tolist()  # Python floats, the same values
-        chain = [
-            (wrap(lon - center), math.sin(math.radians(lat)) if height is None else height)
-            for lon, lat in vertices
-        ]
+        chain = [(wrap(lon - center), math.sin(math.radians(lat))) for lon, lat in vertices]
         pieces = [c for piece in split(chain) for c in clip(piece)]
         if not pieces:
             return None
@@ -620,13 +617,12 @@ def _scalar_paths(profile, lines, cut, memo=None, heights=None):
         return off, rho, np.cumsum([len(p) for p in pieces])[:-1]
 
     paths, dropped = [], 0
-    for i, line in enumerate(lines):
-        height = heights.get(i)
+    for line in lines:
         if memo is None:
-            pieces = pieces_of(line, height)
+            pieces = pieces_of(line)
         else:
-            key = (lo, hi, center, height, np.asarray(line.points).tobytes())
-            pieces = memo[key] if key in memo else memo.setdefault(key, pieces_of(line, height))
+            key = (lo, hi, center, np.asarray(line.points).tobytes())
+            pieces = memo[key] if key in memo else memo.setdefault(key, pieces_of(line))
         dropped += pieces is None
         if pieces is not None:
             off, rho, splits = pieces
@@ -655,16 +651,27 @@ def test_project_polylines_equals_scalar_loop(kind, cut_deg):
         assert np.asarray(got).tobytes() == want.tobytes()
 
 
+def _in_band_latitudes(rho1, rho2):
+    """The doubles nearest degrees(asin(rho1)) and degrees(asin(rho2)) whose
+    heights, as the projection takes them, lie in [rho1, rho2]: each stepped
+    towards the band one double at a time."""
+    lat1, lat2 = math.degrees(math.asin(rho1)), math.degrees(math.asin(rho2))
+    while np.sin(np.radians(lat1)) < rho1:
+        lat1 = math.nextafter(lat1, 90.0)
+    while np.sin(np.radians(lat2)) > rho2:
+        lat2 = math.nextafter(lat2, -90.0)
+    return lat1, lat2
+
+
 def _list_graticule(lon_step, lat_step, annulus):
     """The graticule as a list of (name, vertex tuples), built one vertex at
     a time in Python floats."""
 
     def frange(lo, hi):
         n = max(1, math.ceil((hi - lo) / 0.25 - 1e-9))
-        return [lo + (hi - lo) * i / n for i in range(n + 1)]
+        return [lo + (hi - lo) * i / n for i in range(n)] + [hi]
 
-    lat1 = math.degrees(math.asin(annulus.rho1))
-    lat2 = math.degrees(math.asin(annulus.rho2))
+    lat1, lat2 = _in_band_latitudes(annulus.rho1, annulus.rho2)
     out = []
     lats = frange(lat1, lat2)
     for k in range(round(360.0 / lon_step) + 1):
@@ -696,10 +703,10 @@ GRATICULE_BANDS = [
     (0.94, 0.96),
     (-0.3, 0.9),  # np.linspace would round 65 of its 328 latitudes differently
 ]
-# The product path also meets bands whose clip drops a boundary parallel, and
-# one whose clip drops every line.
+# The product path also meets bands whose boundary heights
+# sin(radians(degrees(asin(rho)))) round outside the band, and one whose
+# heights lie within 1e-300 of the equator.
 GRATICULE_PRODUCT_BANDS = GRATICULE_BANDS + [(0.4, 0.5), (0.0, 0.5), (0.0, 1e-300)]
-ARC_BANDS = [(0.4, 0.5), (0.0, 0.5)]  # whose clip drops a boundary parallel
 
 
 @pytest.mark.parametrize("band", GRATICULE_BANDS)
@@ -722,7 +729,7 @@ def test_graticule_parallels_match_list_reference_on_random_bands_and_steps(seed
         rho1, rho2 = np.sort(rng.uniform(-0.99, 0.99, 2)).tolist()
         if rng.random() < 0.5:  # narrow, so that the multiples' k are large
             rho2 = rho1 + 10.0 ** rng.uniform(-13.0, -3.0)
-        lat1, lat2 = (math.degrees(math.asin(r)) for r in (rho1, rho2))
+        lat1, lat2 = _in_band_latitudes(rho1, rho2)
         lat_step = (lat2 - lat1) / rng.uniform(0.5, 300.0)
         want = _list_parallel_lats(lat1, lat2, lat_step)
         parallels = graticule(90.0, lat_step, SphericalAnnulus(rho1, rho2))[5:]
@@ -733,8 +740,7 @@ def test_graticule_parallels_match_list_reference_on_random_bands_and_steps(seed
 
 # Cuts that put a parallel's vertex (179.75, -142.5) or a meridian (180,
 # -180, 0, 37.5 at lon_step 7.5) on the seam; at -1e-14 the central
-# longitude rounds to 180, so the -180 meridian's offset is -0.0 and its
-# clipped ends' offsets are 0.0.
+# longitude rounds to 180, so the -180 meridian's offset is -0.0.
 GRATICULE_CUTS = [180.0, -180.0, 0.0, 37.5, 179.75, -142.5, -1e-14]
 LON_STEPS = [10.0, 90.0, 7.5]
 
@@ -746,25 +752,11 @@ def _assert_same_paths(projected, paths, dropped):
         assert np.asarray(got).tobytes() == want.tobytes()
 
 
-def _boundary_arcs(profile, grid, cut, memo):
-    """{line index: band edge} of the boundary parallels whose height lies
-    outside the band while the meridians are drawn: the product path draws
-    them on that edge, where the clip ends the meridians."""
-    meridians = len(grid.meridian_lons)
-    if _scalar_paths(profile, grid[:meridians], cut, memo)[1] == meridians:
-        return {}
-    (_, lat1), (_, lat2) = grid[meridians].points[0], grid[-1].points[0]
-    arcs = {meridians: profile.rho1} if math.sin(math.radians(lat1)) < profile.rho1 else {}
-    if math.sin(math.radians(lat2)) > profile.rho2:
-        arcs[len(grid) - 1] = profile.rho2
-    return arcs
-
-
 @pytest.mark.parametrize("cut_deg", GRATICULE_CUTS)
 @pytest.mark.parametrize("band", GRATICULE_PRODUCT_BANDS)
 def test_a_graticule_projects_as_the_scalar_loop(band, cut_deg):
-    """An unchanged Graticule takes the product path of project_polylines:
-    the scalar loop's paths, plus the boundary arcs it drops."""
+    """An unchanged Graticule takes the product path of project_polylines,
+    with the scalar loop's paths and none dropped."""
     cut = math.radians(cut_deg)
     memo = {}
     for kind in COMPARISON_ORDER:
@@ -774,9 +766,8 @@ def test_a_graticule_projects_as_the_scalar_loop(band, cut_deg):
         for lon_step in LON_STEPS:
             grid = graticule(lon_step, 5.0, SphericalAnnulus(*band))
             assert type(grid) is Graticule
-            arcs = _boundary_arcs(profile, grid, cut, memo)
-            assert bool(arcs) == (band in ARC_BANDS)
-            paths, dropped = _scalar_paths(profile, grid, cut, memo, arcs)
+            paths, dropped = _scalar_paths(profile, grid, cut, memo)
+            assert dropped == 0
             _assert_same_paths(project_polylines(profile, grid, cut), paths, dropped)
 
 
@@ -813,6 +804,65 @@ def test_a_changed_graticule_takes_the_general_path(change):
     assert sizes == [vertices]  # one slant a vertex
     paths, dropped = _scalar_paths(profile, grid, math.pi)
     _assert_same_paths(projected, paths, dropped)
+
+
+# The degenerate bands: next to the equator, within an ulp of each other
+# near the pole, and one whose cone apex lies just above the pole.
+MAP_EDGE_BANDS = [
+    (0.0, 1e-300),
+    (1e-300, 2e-300),
+    (0.7544591939931753, 0.999999999999999),
+    (0.9999999999999998, 0.9999999999999999),
+]
+MAP_BANDS = st.one_of(
+    st.tuples(st.floats(-0.999, 0.999), st.floats(-0.999, 0.999)).map(sorted),
+    # 1e-12 to 1e-3 wide
+    st.builds(
+        lambda rho1, width: (rho1, rho1 + width),
+        st.floats(-0.9, 0.999),
+        st.floats(-12.0, -3.0).map(lambda u: 10.0**u),
+    ),
+    # rho2 within 1e-9 of the pole
+    st.builds(
+        lambda gap, width: (1.0 - gap - width, 1.0 - gap),
+        st.floats(-15.5, -9.0).map(lambda u: 10.0**u),
+        st.floats(-15.0, 0.0).map(lambda u: 10.0**u),
+    ),
+    # rho1 + rho2 down to 1e-12
+    st.builds(
+        lambda total, width: (0.5 * (total - width), 0.5 * (total + width)),
+        st.floats(-12.0, -3.0).map(lambda u: 10.0**u),
+        st.floats(-15.0, 0.0).map(lambda u: 10.0**u),
+    ),
+    st.sampled_from(MAP_EDGE_BANDS),
+)
+MAP_CUTS = [0.0, -0.0, 1e-14, -1e-14, 180.0, -180.0, 179.75, -142.5]
+
+
+@settings(max_examples=40, deadline=None)
+@given(band=MAP_BANDS, kind=st.sampled_from(COMPARISON_ORDER), cut_deg=st.sampled_from(MAP_CUTS))
+@example(band=MAP_EDGE_BANDS[0], kind="central", cut_deg=-1e-14)
+@example(band=MAP_EDGE_BANDS[1], kind="orthogonal", cut_deg=180.0)
+@example(band=MAP_EDGE_BANDS[2], kind="delisle", cut_deg=-0.0)
+@example(band=MAP_EDGE_BANDS[3], kind="teichmuller", cut_deg=179.75)
+def test_a_graticule_lies_in_its_band_and_projects_as_its_list(band, kind, cut_deg):
+    """Every vertex of a graticule has its height in the band, so its product
+    path, the general path of its list and the scalar loop draw the same
+    paths bit for bit, and drop none."""
+    rho1, rho2 = band
+    assume(-1.0 < rho1 < rho2 < 1.0 and rho1 + rho2 > 0.0)
+    try:
+        profile = make_profile(kind, ProjectionParams(rho1, rho2))
+    except (ValueError, OverflowError):  # documented, or lambert_chart's overflow (see
+        reject()  # the strict xfails of test_exact_extremes.py)
+    grid = graticule(10.0, 5.0, SphericalAnnulus(rho1, rho2))
+    heights = np.sin(np.radians(np.concatenate([line.points[:, 1] for line in grid])))
+    assert rho1 <= heights.min() and heights.max() <= rho2
+    cut = math.radians(cut_deg)
+    projected = project_polylines(profile, grid, cut)
+    assert projected.dropped == 0
+    _assert_same_paths(project_polylines(profile, list(grid), cut), projected.paths, 0)
+    _assert_same_paths(projected, *_scalar_paths(profile, grid, cut))
 
 
 BAD_POLYLINES = [

@@ -449,11 +449,18 @@ class TestUpwardConeMessage:
             "", "error: rho1 + rho2 = 1.4822e-323 puts the apex of the cone through both "
             "parallels at infinity; not supported\n")
 
+    @pytest.mark.parametrize("band", [("0.0", "1e-300"), ("1e-300", "2e-300")])
     @pytest.mark.parametrize("kind", ["central", "delisle", "delisle-equidistant", "orthogonal"])
-    def test_a_band_whose_graticule_projects_to_no_path(self, kind, capsys):
-        """On (0, 1e-300) these kinds' profiles clip every graticule line away:
-        an empty map is an error, not a drawing of nothing."""
-        assert main(["project", "--kind", kind, "--rho1=0.0", "--rho2=1e-300"]) == 2
-        assert capsys.readouterr() == (
-            "", "error: rho1 = 0 and rho2 = 1e-300 give a band whose graticule projects to "
-            "no path; not supported\n")
+    def test_a_band_next_to_the_equator_draws_its_graticule(self, kind, band, capsys):
+        """A graticule lies in its band, however thin: these kinds draw its
+        37 meridians and 2 boundary parallels, every coordinate finite."""
+        assert main(["project", "--kind", kind, f"--rho1={band[0]}", f"--rho2={band[1]}"]) == 0
+        out, err = capsys.readouterr()
+        paths = re.findall(r'<path d="M ([^"]*)"/>', out)
+        assert err == "" and len(paths) == 39
+        coords = [float(v) for d in paths for v in d.replace(" L ", " ").split()]
+        assert all(math.isfinite(v) for v in coords)
+
+    def test_teichmuller_is_no_map_of_a_band_next_to_the_equator(self, capsys):
+        assert main(["project", "--kind", "teichmuller", "--rho1=0.0", "--rho2=1e-300"]) == 2
+        assert capsys.readouterr() == ("", "error: stretches must be positive\n")
