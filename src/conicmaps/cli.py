@@ -102,11 +102,9 @@ _BAND = (
     ("--degrees", dict(action="store_true", help="interpret --lat1/--lat2 (and project's "
                        "--alpha) as degrees instead of radians")),
 )
-_CSV = (
-    ("--samples", dict(type=int, help="sample count")),
-    ("--csv", dict(help="CSV output file")),
-)
-_OPTIMIZE = _CSV + (
+_CSV = (("--csv", dict(help="CSV output file")),)
+_SAMPLED = (("--samples", dict(type=int, help="sample count")),) + _CSV
+_OPTIMIZE = _SAMPLED + (
     ("--scan", dict(action="store_true",
                     help="also emit the (sin alpha, distortion) curve as CSV")),
 )
@@ -353,7 +351,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 SUBCOMMANDS = {
     "optimize": ("optimal half-apex angle and distortion", _OPTIMIZE, cmd_optimize),
     "table": ("distortion table of the six projections", _CSV, cmd_table),
-    "curves": ("bi-Lipschitz curves of the six projections", _CSV, cmd_curves),
+    "curves": ("bi-Lipschitz curves of the six projections", _SAMPLED, cmd_curves),
     "project": ("render a projected map as SVG", _PROJECT, cmd_project),
     "reproduce": ("check all published reference values", (), cmd_reproduce),
 }

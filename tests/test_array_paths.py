@@ -276,7 +276,7 @@ BAND_OPTIONS = {"--rho1", "--rho2", "--lat1", "--lat2", "--degrees"}
 # Each subcommand-specific option with a value it takes, and the subcommands
 # that read it; every subcommand also takes the band options.
 OPTION_OWNERS = {
-    ("--samples", "11"): ("optimize", "table", "curves"),
+    ("--samples", "11"): ("optimize", "curves"),
     ("--csv", "x.csv"): ("optimize", "table", "curves"),
     ("--scan",): ("optimize",),
     ("--alpha", "0.5"): ("project",),
@@ -317,9 +317,11 @@ class TestCliErrors:
         assert main(["project", "--out", str(tmp_path / "missing" / "x.svg")]) == 4
         assert "cannot write SVG" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", [["curves"], ["optimize", "--scan"], ["table"]])
+    @pytest.mark.parametrize(
+        "command", [["curves", "--samples=11"], ["optimize", "--scan", "--samples=11"], ["table"]]
+    )
     def test_unwritable_csv_exits_4(self, command, tmp_path, capsys):
-        argv = command + ["--samples=11", "--csv", str(tmp_path / "missing" / "x.csv")]
+        argv = command + ["--csv", str(tmp_path / "missing" / "x.csv")]
         assert main(argv) == 4
         assert "cannot write CSV" in capsys.readouterr().err
 

@@ -66,7 +66,7 @@ TABLE_DIGESTS = {
 HELP_DIGESTS = {
     None: "0fbf938ca45948b522698ae507cb854084b98360059203ff4611fc04da58524c",
     "optimize": "cd1bf53d9eaa6f8c9785b2f5a148e7e3f84313235cd67a24232b588f28f97b58",
-    "table": "726c81d8b8f91135bf52bb68f61c1187a08bdb51a4f1e562d98b53f57c1b2468",
+    "table": "c1f513fe90df325fd2b15607fc0c660825a2fc5e002509e800e2e35eac1235c7",
     "curves": "f2148f578e328d32bc9807208726b1718e0629c3b0107ec5b19f2702ee2a533a",
     "project": "7e055761861f4723d98781f2da625951794ce98e499e865b323ee2a4e3697b0d",
     "reproduce": "85faaad7e5112c79eaa2246bf386e432888a85e7f3f242cb6c62f6f7b8489659",
