@@ -244,9 +244,10 @@ class Graticule(list):
     ``meridian_lats``, and parallel ``k`` along ``parallel_lats[k]`` through
     every one of ``parallel_lons``.
 
-    ``project_polylines`` projects an unchanged Graticule by this product
-    structure, with the same paths as its list.  Once its items change it is
-    a list of lines like any other, as are its slices and sums.
+    ``project_polylines`` projects an unchanged Graticule whose vertices lie
+    in the profile's band by this product structure, with the same paths as
+    its list.  Once its items change it is a list of lines like any other,
+    as are its slices and sums.
     """
 
     def __init__(self, lines, meridian_lons, meridian_lats, parallel_lats, parallel_lons):
@@ -258,6 +259,12 @@ class Graticule(list):
     def _unchanged(self) -> bool:
         """Whether the items are still the lines it was built with."""
         return tuple(self) == self._built  # polylines compare by identity
+
+    def _in_band(self, lo: float, hi: float) -> bool:
+        """Whether every vertex's height lies in [lo, hi]; the meridians run
+        from the lowest latitude to the highest."""
+        low, high = np.sin(np.radians(self.meridian_lats[[0, -1]])).tolist()
+        return lo <= low and high <= hi
 
 
 def graticule(lon_step: float, lat_step: float, annulus: SphericalAnnulus) -> Graticule:
@@ -326,16 +333,18 @@ def project_polylines(
     then clipped to the annulus band, interpolating linearly in (offset,
     rho).  The splits, the clip and the placement on the plane are each a
     few array calls over every vertex at once, with one call of the profile;
-    no Python loop runs over vertices.  An unchanged :class:`Graticule` is
-    projected by its product structure instead, with the same paths and
-    none dropped (see :func:`_project_graticule`).  Each path is an (n, 2)
+    no Python loop runs over vertices.  An unchanged :class:`Graticule` of
+    the profile's band is projected by its product structure instead, with
+    the same paths and none dropped (see :func:`_project_graticule`).  Each path is an (n, 2)
     view of one array.  Input polylines that vanish entirely in clipping are
     dropped and counted.
     """
     if not lines:
         return ProjectedPaths([], 0)
     center_deg = math.degrees(cut) % 360.0 - 180.0
-    if isinstance(lines, Graticule) and lines._unchanged():
+    if isinstance(lines, Graticule) and lines._unchanged() and lines._in_band(
+        profile.rho1, profile.rho2
+    ):
         return _project_graticule(profile, lines, center_deg)
     points = [line.points for line in lines]
     counts = np.fromiter(map(len, points), dtype=np.intp, count=len(points))

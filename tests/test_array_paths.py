@@ -784,7 +784,7 @@ def _counting_slant(profile):
     return dataclasses.replace(profile, s=s), sizes
 
 
-@pytest.mark.parametrize("change", ["append", "item", "slice", "sum", "none"])
+@pytest.mark.parametrize("change", ["append", "item", "slice", "sum", "wider band", "none"])
 def test_a_changed_graticule_takes_the_general_path(change):
     band = (0.4, 0.5)
     profile, sizes = _counting_slant(make_profile("central", ProjectionParams(*band)))
@@ -798,6 +798,8 @@ def test_a_changed_graticule_takes_the_general_path(change):
         grid = grid[:]
     elif change == "sum":
         grid = grid + [extra]
+    elif change == "wider band":  # unchanged, but not all of it lies in the band
+        grid = graticule(10.0, 5.0, SphericalAnnulus(0.3, 0.9))
     projected = project_polylines(profile, grid, math.pi)
     vertices = sum(map(len, projected.paths))
     if change == "none":
