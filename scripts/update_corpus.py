@@ -34,7 +34,7 @@ def main() -> int:
         if key not in old:
             print(f"new    {key}")
         elif old[key] != entry:
-            print(f"moved  {key}  ({', '.join(corpus.changed_outcomes(old[key], entry))})")
+            print(corpus.moved_line(old[key], entry))
     for key in old.keys() - new.keys():
         print(f"gone   {key}")
     print(f"{len(entries)} entries written to {corpus.MANIFEST.name}", file=sys.stderr)

@@ -113,6 +113,12 @@ def changed_outcomes(old: dict, new: dict) -> list:
     return [name for name in OUTCOMES if old.get(name) != new.get(name)]
 
 
+def moved_line(old: dict, new: dict) -> str:
+    """The line naming an entry whose outcome moved: its argv and its
+    changed outcomes."""
+    return f"moved  {json.dumps(new['argv'])}  ({', '.join(changed_outcomes(old, new))})"
+
+
 def dumps_manifest(entries: list) -> str:
     """The manifest's text: one entry a line, keys sorted."""
     lines = [json.dumps(e, sort_keys=True) for e in entries]

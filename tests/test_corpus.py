@@ -31,11 +31,11 @@ def test_corpus_replays_its_manifest():
     expected = corpus.load_manifest()
     assert [e["argv"] for e in expected] == corpus.load_corpus()[1]
     moved = [
-        (want["argv"], got)
+        corpus.moved_line(want, got)
         for want, got in zip(expected, corpus.replay())
         if got != want
     ]
-    assert not moved, f"{len(moved)} entries moved, the first: {moved[0]}"
+    assert not moved, f"{len(moved)} entries moved:\n" + "\n".join(moved)
 
 
 def test_changed_outcomes_names_what_moved():
@@ -45,3 +45,5 @@ def test_changed_outcomes_names_what_moved():
     assert corpus.changed_outcomes(old, new) == ["stderr", "files"]
     raised = {"argv": ["table"], "raises": "OverflowError"}
     assert corpus.changed_outcomes(raised, old) == list(corpus.OUTCOMES)
+    assert corpus.moved_line(old, new) == 'moved  ["table"]  (stderr, files)'
+
