@@ -6,16 +6,18 @@ writes `tests/data/corpus_manifest.json` and prints, one a line, the argv
 of every entry whose outcome differs from the manifest it replaced, marked
 ``moved``, ``new`` or ``gone``; a ``moved`` line ends with the outcomes
 that changed, among exit, stdout, stderr, files and raises.  Takes no
-options; run it from anywhere, with `conicmaps` importable:
+options; run it from anywhere.  It replays the `conicmaps` of its own
+checkout, whatever PYTHONPATH names:
 
-    PYTHONPATH=src python scripts/update_corpus.py
+    python scripts/update_corpus.py
 """
 
 import json
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import corpus  # noqa: E402
 

@@ -24,7 +24,15 @@ help differently) or another numpy may round a last digit differently and
 fail them.
 """
 
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import corpus
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_corpus_replays_its_manifest():
@@ -47,3 +55,29 @@ def test_changed_outcomes_names_what_moved():
     assert corpus.changed_outcomes(raised, old) == list(corpus.OUTCOMES)
     assert corpus.moved_line(old, new) == 'moved  ["table"]  (stderr, files)'
 
+
+def test_update_script_replays_its_own_checkout(tmp_path):
+    """A copy of the script rewrites its copy's manifest with the same bytes
+    although PYTHONPATH names another `conicmaps`, one that prints nothing."""
+    no_cache = shutil.ignore_patterns("__pycache__")
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=no_cache)
+    shutil.copytree(ROOT / "tests" / "data", tmp_path / "tests" / "data")
+    shutil.copy(ROOT / "tests" / "corpus.py", tmp_path / "tests")
+    (tmp_path / "scripts").mkdir()
+    shutil.copy(ROOT / "scripts" / "update_corpus.py", tmp_path / "scripts")
+    stub = tmp_path / "stub" / "conicmaps"
+    stub.mkdir(parents=True)
+    (stub / "__init__.py").write_text("")
+    (stub / "cli.py").write_text("def main(argv=None):\n    return 0\n")
+    manifest = tmp_path / "tests" / "data" / "corpus_manifest.json"
+    before = manifest.read_bytes()
+    env = {**os.environ, "PYTHONPATH": str(tmp_path / "stub")}
+    done = subprocess.run(
+        [sys.executable, str(tmp_path / "scripts" / "update_corpus.py")],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == ""
+    assert manifest.read_bytes() == before
