@@ -193,11 +193,12 @@ def _downward_alpha(rho1: float, rho2: float, alpha: float) -> float:
 
 def _golden_section(
     f: Callable[[float], float], lo: float, hi: float, tol: float, maximize: bool
-) -> tuple[float, float]:
-    """Locate an extremum of a unimodal f on [lo, hi] to interval width tol.
+) -> float:
+    """The argument of an extremum of a unimodal f on [lo, hi], located to
+    interval width tol.
 
-    Returns (argument, value).  Linear convergence is plenty here: every use
-    in this package has an analytic, cheaply evaluated integrand.
+    Linear convergence is plenty here: every use in this package has an
+    analytic, cheaply evaluated integrand.
     """
     sign = -1.0 if maximize else 1.0
     a, b = lo, hi
@@ -214,8 +215,7 @@ def _golden_section(
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
             fd = sign * f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+    return 0.5 * (a + b)
 
 
 def optimal_alpha_by_scan(rho1: float, rho2: float) -> float:
@@ -232,7 +232,7 @@ def optimal_alpha_by_scan(rho1: float, rho2: float) -> float:
     _check_band(rho1, rho2)
 
     delta = _distortion_in_a(rho1, rho2, rho1)
-    a_best, _ = _golden_section(delta, -1.0 + 1e-9, 1.0 - 1e-9, 1e-12, maximize=False)
+    a_best = _golden_section(delta, -1.0 + 1e-9, 1.0 - 1e-9, 1e-12, maximize=False)
     return math.asin(a_best)
 
 
@@ -306,8 +306,8 @@ def profile_distortion(profile: "MeridianProfile", n_grid: int = 4097) -> Distor
                 idx = int(np.argmax(values) if maximize else np.argmin(values))
                 if 0 < idx < n_grid - 1:
                     lo, hi = float(eps[idx - 1]), float(eps[idx + 1])
-                    e_star, v_star = _golden_section(log_h, lo, hi, 1e-12, maximize)
-                    found.append((v_star, math.cos(e_star)))
+                    e_star = _golden_section(log_h, lo, hi, 1e-12, maximize)
+                    found.append((log_h(e_star), math.cos(e_star)))
 
     # Value ties resolve toward the smaller height.
     sup_log, arg_sup = min(sups, key=lambda c: (-c[0], c[1]))
