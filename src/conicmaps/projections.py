@@ -251,16 +251,22 @@ def make_profile(kind: str, params: ProjectionParams) -> MeridianProfile:
         return MeridianProfile(kind, cone, eps1, eps2, s, s_prime, {}, (foot,), *band)
 
     if kind == KIND_ORTHOGONAL:
+        # apex - cos eps, as (apex - 1) + 2 sin^2(eps/2): near the pole the
+        # apex is near 1 and cos eps a staircase of doubles, so the plain
+        # difference cancels.
+        rise = apex - 1.0
 
         def s(e):
-            return np.sin(e) * sa + ca * (apex - np.cos(e))
+            return np.sin(e) * sa + ca * (rise + 2.0 * np.sin(0.5 * e) ** 2)
 
         def s_prime(e):
             return np.sin(e + alpha)
 
         # The parallel stretch sa^2 + sa ca (apex - cos eps) / sin eps has
-        # derivative sa ca (1 - apex cos eps) / sin^2 eps.
-        critical = (foot, math.acos(1.0 / apex)) if apex > 1.0 else (foot,)
+        # derivative sa ca (1 - apex cos eps) / sin^2 eps.  Its zero
+        # acos(1/apex) is taken as atan(sqrt(apex^2 - 1)), which stays well
+        # conditioned for an apex near 1.
+        critical = (foot, math.atan(math.sqrt(rise * (apex + 1.0)))) if apex > 1.0 else (foot,)
         return MeridianProfile(kind, cone, eps1, eps2, s, s_prime, {}, critical, *band)
 
     if kind == KIND_DELISLE:

@@ -97,6 +97,16 @@ def bounds_the_grid(exact, grid) -> bool:
     )
 
 
+def check_every_kind_against_the_grid(rho1, rho2):
+    """The exact path's extremes bound the grid path's, and both paths find
+    a stretch that is not positive on the same bands."""
+    for kind in COMPARISON_ORDER:
+        exact, grid = exact_and_grid(make_profile(kind, ProjectionParams(rho1, rho2)))
+        assert isinstance(exact, str) == isinstance(grid, str), (kind, exact, grid)
+        if not isinstance(exact, str):
+            assert bounds_the_grid(exact, grid), (kind, exact, grid)
+
+
 def band_of(rho2, width):
     rho1 = rho2 - width
     assume(-1.0 < rho1 < rho2 < 1.0 and rho1 + rho2 > 0.05)
@@ -125,14 +135,19 @@ BAND_CLASSES = {
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_exact_extremes_bound_the_grid(band_class, data):
-    """The exact path's extremes bound the grid path's, and both paths find
-    a stretch that is not positive on the same bands."""
-    rho1, rho2 = data.draw(BAND_CLASSES[band_class], label="band")
-    for kind in COMPARISON_ORDER:
-        exact, grid = exact_and_grid(make_profile(kind, ProjectionParams(rho1, rho2)))
-        assert isinstance(exact, str) == isinstance(grid, str), (kind, exact, grid)
-        if not isinstance(exact, str):
-            assert bounds_the_grid(exact, grid), (kind, exact, grid)
+    check_every_kind_against_the_grid(*data.draw(BAND_CLASSES[band_class], label="band"))
+
+
+# Bands the near-pole class has failed on; they run every time, whatever
+# Hypothesis draws.  On the first, the orthogonal critical colatitude taken
+# as acos(1/apex) put the exact minimum 1.03e-13 in log-stretch above the
+# grid's.
+NEAR_POLE_BANDS = [(0.7544591939931753, 0.999999999999999)]
+
+
+@pytest.mark.parametrize("band", NEAR_POLE_BANDS, ids=lambda b: "%r-%r" % b)
+def test_exact_extremes_bound_the_grid_near_the_pole(band):
+    check_every_kind_against_the_grid(*band)
 
 
 def test_missing_interior_extremum_fails_the_grid_property():
