@@ -8,15 +8,14 @@ counts and at the benchmark's, 12,001 scan points and 1,201 curve heights,
 on the canonical, wide, equator and polar bands (the decimal writer takes a
 scan 2,048 rows a pass, so only the 12,001-point scans take more than one);
 every help screen, laid out 80 columns wide; usage errors and each
-documented error exit.
-`data/map_fixture.geojson` holds lines that cross the cut meridian, a
-vertex at exactly +-180 next to its mirror (also as a line's first
-segment), a segment that jumps over the whole band, a single in-band vertex
-between two outside ones, a line that lies wholly outside the band (dropped)
-and a Point (ignored).  `corpus.py` explains the manifest.  After a change
-that moves an output on purpose, `python scripts/update_corpus.py` rewrites
-the manifest and prints the argv of every entry that moved, with the
-outcomes that changed.
+documented error exit.  `data/map_fixture.geojson` holds lines that cross
+the cut meridian, a vertex at exactly +-180 next to its mirror (also as a
+line's first segment), a segment that jumps over the whole band, a single
+in-band vertex between two outside ones, a line that lies wholly outside
+the band (dropped) and a Point (ignored).  `corpus.py` explains the
+manifest.  After a change that moves an output on purpose, `python
+scripts/update_corpus.py` rewrites the manifest and prints the argv of
+every entry that moved, with the outcomes that changed.
 
 The digests hold for the CPU, Python and numpy they were taken on; another
 CPU, another Python (whose argparse or json may word a message or lay out
