@@ -60,6 +60,8 @@ def run_entry(argv: list, inputs_dir: Path, out_dir: Path) -> dict:
 
     entry = {"argv": argv}
     stdout, stderr = io.StringIO(), io.StringIO()
+    old_columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
@@ -69,6 +71,11 @@ def run_entry(argv: list, inputs_dir: Path, out_dir: Path) -> dict:
     except Exception as exc:  # noqa: BLE001 - the type is the recorded outcome
         entry["raises"] = type(exc).__name__
         return entry
+    finally:
+        if old_columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = old_columns
     entry["exit"] = code
     entry["stdout"] = _sha256(masked(stdout.getvalue()))
     entry["stderr"] = _sha256(masked(stderr.getvalue()))
@@ -80,27 +87,23 @@ def run_entry(argv: list, inputs_dir: Path, out_dir: Path) -> dict:
     return entry
 
 
+def write_inputs(inputs_dir: Path) -> None:
+    """Write the corpus's input files into ``inputs_dir``, its ``{in}``."""
+    for name, text in load_corpus()[0].items():
+        (inputs_dir / name).write_text(text, encoding="utf-8")
+
+
 def replay() -> list:
     """The manifest entries of every argv of the corpus, in its order."""
-    inputs, argvs = load_corpus()
-    entries = []
-    old_columns = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = "80"
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            inputs_dir = Path(tmp) / "in"
-            inputs_dir.mkdir()
-            for name, text in inputs.items():
-                (inputs_dir / name).write_text(text, encoding="utf-8")
-            for i, argv in enumerate(argvs):
-                out_dir = Path(tmp) / f"out{i}"
-                out_dir.mkdir()
-                entries.append(run_entry(argv, inputs_dir, out_dir))
-    finally:
-        if old_columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = old_columns
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs_dir = Path(tmp) / "in"
+        inputs_dir.mkdir()
+        write_inputs(inputs_dir)
+        entries = []
+        for i, argv in enumerate(load_corpus()[1]):
+            out_dir = Path(tmp) / f"out{i}"
+            out_dir.mkdir()
+            entries.append(run_entry(argv, inputs_dir, out_dir))
     return entries
 
 

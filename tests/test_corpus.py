@@ -13,9 +13,10 @@ the cut meridian, a vertex at exactly +-180 next to its mirror (also as a
 line's first segment), a segment that jumps over the whole band, a single
 in-band vertex between two outside ones, a line that lies wholly outside
 the band (dropped) and a Point (ignored).  `corpus.py` explains the
-manifest.  After a change that moves an output on purpose, `python
-scripts/update_corpus.py` rewrites the manifest and prints the argv of
-every entry that moved, with the outcomes that changed.
+manifest.  Each argv is its own test case, named by the argv, so a run
+names every entry that moved, with the outcomes that changed.  After a
+change that moves an output on purpose, `python scripts/update_corpus.py`
+rewrites the manifest and prints the same lines.
 
 The digests hold for the CPU, Python and numpy they were taken on; another
 CPU, another Python (whose argparse or json may word a message or lay out
@@ -23,26 +24,46 @@ help differently) or another numpy may round a last digit differently and
 fail them.
 """
 
+import json
 import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import corpus
 
 ROOT = Path(__file__).resolve().parent.parent
+ARGVS = corpus.load_corpus()[1]
 
 
-def test_corpus_replays_its_manifest():
-    expected = corpus.load_manifest()
-    assert [e["argv"] for e in expected] == corpus.load_corpus()[1]
-    moved = [
-        corpus.moved_line(want, got)
-        for want, got in zip(expected, corpus.replay())
-        if got != want
-    ]
-    assert not moved, f"{len(moved)} entries moved:\n" + "\n".join(moved)
+@pytest.fixture(scope="module")
+def manifest():
+    return {json.dumps(e["argv"]): e for e in corpus.load_manifest()}
+
+
+@pytest.fixture(scope="module")
+def inputs_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("in")
+    corpus.write_inputs(path)
+    return path
+
+
+def test_the_manifest_holds_the_corpus_argvs_in_order():
+    assert [e["argv"] for e in corpus.load_manifest()] == ARGVS
+
+
+@pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+def test_corpus_replays_its_manifest(argv, manifest, inputs_dir, tmp_path):
+    """Each entry fails on its own, with the line `update_corpus.py` would
+    print for it, so a run names every entry that moved."""
+    key = json.dumps(argv)
+    assert key in manifest, f"new    {key}"
+    want = manifest[key]
+    got = corpus.run_entry(argv, inputs_dir, tmp_path)
+    assert got == want, corpus.moved_line(want, got)
 
 
 def test_changed_outcomes_names_what_moved():
