@@ -271,7 +271,7 @@ def cmd_project(args: argparse.Namespace) -> int:
     _require_positive(*profile.candidate_stretches()[1:])
     annulus = SphericalAnnulus(args.rho1, args.rho2)
     grat = project_polylines(profile, graticule(10.0, 5.0, annulus), cut)
-    overlays = []
+    groups = [(SvgStyle(stroke="#999999", stroke_width=0.0015), grat.paths)]
     if args.geojson is not None:
         try:
             with open(args.geojson, "r", encoding="utf-8-sig") as fh:
@@ -279,8 +279,7 @@ def cmd_project(args: argparse.Namespace) -> int:
         except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read {args.geojson}: {exc}") from exc
         coast = project_polylines(profile, parsed.lines, cut)
-        overlays.append((SvgStyle(stroke="black", stroke_width=0.003), coast.paths))
-    groups = [(SvgStyle(stroke="#999999", stroke_width=0.0015), grat.paths), *overlays]
+        groups.append((SvgStyle(stroke="black", stroke_width=0.003), coast.paths))
     _write_text([render_svg(groups)], sys.stdout if args.out is None else args.out, "SVG")
     return 0
 

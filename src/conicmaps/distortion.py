@@ -122,30 +122,25 @@ def _distortion_in_a(rho1: float, rho2: float, rho0: float) -> Callable[[float],
     return delta
 
 
-def annulus_distortion(rho1: float, rho2: float, alpha, rho0: float) -> float | np.ndarray:
+def annulus_distortion(rho1: float, rho2: float, alpha: float, rho0: float) -> float:
     """Distortion log(sup L / inf L) of the conformal map over (rho1, rho2).
 
     The normalization height ``rho0`` cancels between sup and inf, so the
-    result does not depend on it.  Checks the band, every angle, then rho0.
-    A float ``alpha`` gives the scan solver's closure at sin(alpha); an array
-    gives :func:`_distortions_at` at each flattened angle, bit for bit the same.
+    result does not depend on it.  Checks the band, the angle, then rho0.
     """
     _check_band(rho1, rho2)
-    alphas = np.asarray(alpha, dtype=float)
-    for x in alphas.ravel().tolist():
-        if not 0.0 < x < math.pi / 2.0:
-            raise ValueError(f"alpha must lie in (0, pi/2), got {x}")
+    if not 0.0 < alpha < math.pi / 2.0:
+        raise ValueError(f"alpha must lie in (0, pi/2), got {float(alpha)}")
     _check_open_unit("rho0", rho0)
-    if alphas.ndim == 0:
-        return _distortion_in_a(rho1, rho2, rho0)(math.sin(alphas.item()))
-    return _distortions_at(rho1, rho2, np.sin(alphas.ravel()), rho0)
+    return _distortion_in_a(rho1, rho2, rho0)(math.sin(alpha))
 
 
 def _distortions_at(rho1: float, rho2: float, a: np.ndarray, rho0: float) -> np.ndarray:
     """The closure of :func:`_distortion_in_a` as array arithmetic in its own
-    operation order, at each a of a 1-D array; callers check the arguments.
-    f1 and f2 are :func:`conformal._log_f` at the array a.  log1p(+-a) inside
-    [rho1, rho2] stays in ``math``: ``np.log1p`` rounds otherwise."""
+    operation order, at each a of a 1-D array, bit for bit the same; callers
+    check the arguments.  f1 and f2 are :func:`conformal._log_f` at the array
+    a.  log1p(+-a) inside [rho1, rho2] stays in ``math``: ``np.log1p`` rounds
+    otherwise."""
     f1, f2 = _log_f(rho1, a, rho0), _log_f(rho2, a, rho0)
     inf = np.where(a < rho1, f1, f2)
     inside = (rho1 <= a) & (a <= rho2)

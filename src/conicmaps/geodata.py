@@ -4,8 +4,8 @@ Input coordinates are cartographic: longitude degrees in [-180, 180],
 latitude degrees in (-90, 90), converted once on projection to the internal
 (theta, rho) = (radians(lon) mod 2pi, sin(radians(lat))) coordinates.
 A polyline's vertices are a tuple of (lon, lat) tuples, as parsed from
-GeoJSON, or a read-only (n, 2) array, as the graticule builds them; each
-vertex is checked once.  Clipping to the annulus and splitting at the
+GeoJSON, each vertex checked once, or a read-only (n, 2) array, as the
+graticule builds them in range from a checked band.  Clipping to the annulus and splitting at the
 cut meridian both happen in (longitude offset, rho) space, where the
 boundaries are coordinate-aligned; only the final step maps to the drawing
 plane.  Every stage is an array call over the vertices of all lines at once,
@@ -27,7 +27,7 @@ import numpy as np
 from .decimals import decimal_chunks
 from .errors import ParseError, ValidationError
 from .projections import DEFAULT_CUT_LONGITUDE, MeridianProfile
-from .sphere import SphericalAnnulus, _Record
+from .sphere import SphericalAnnulus, _check_band, _Record
 
 # Densification ceiling for generated polylines, in degrees of arc.
 _MAX_VERTEX_SPACING_DEG = 0.25
@@ -41,11 +41,10 @@ _JSON_NUMBERS = (int, float)
 class GeoPolyline(_Record, eq=False):
     """Named sequence of (longitude, latitude) vertices, in degrees.
 
-    ``points`` is a sequence of pairs, stored as a tuple of float tuples, or
-    an (n, 2) array, stored as a read-only float64 copy and checked in array
-    calls.  Both forms reject the same input with the same message, naming
-    the first bad vertex; ``_checked`` stores 2 or more vertices checked in
-    that stored form as they are.  Polylines compare by identity.
+    ``points`` is a sequence of pairs, stored as a tuple of float tuples and
+    checked vertex by vertex; the first bad vertex is named.  ``_checked``
+    stores points already checked as they are: the parser's tuples, or the
+    graticule's read-only (n, 2) array rows.  Polylines compare by identity.
     """
 
     name: str
@@ -59,23 +58,14 @@ class GeoPolyline(_Record, eq=False):
 
     def __post_init__(self):
         try:
-            if isinstance(self.points, np.ndarray):
-                pts = np.array(self.points, dtype=float)
-                if pts.ndim == 0 or (len(pts) and pts.shape[1:] != (2,)):
-                    raise ValueError("not an (n, 2) array")
-            else:
-                pts = tuple((float(lon), float(lat)) for lon, lat in self.points)
+            pts = tuple((float(lon), float(lat)) for lon, lat in self.points)
         except (TypeError, ValueError) as exc:
             raise ValidationError(
                 f"{self.name}: vertices must be (longitude, latitude) pairs of numbers"
             ) from exc
         if len(pts) < 2:
             raise ValidationError(f"{self.name}: a polyline needs at least 2 points")
-        vertices = pts
-        if isinstance(pts, np.ndarray):
-            pts.flags.writeable = False
-            vertices = pts[~_inside(pts)][:1].tolist()  # the loop below words it
-        for lon, lat in vertices:
+        for lon, lat in pts:
             if not (math.isfinite(lon) and math.isfinite(lat)):
                 raise ValidationError(f"{self.name}: non-finite coordinate")
             if not -180.0 <= lon <= 180.0:
@@ -83,12 +73,6 @@ class GeoPolyline(_Record, eq=False):
             if not -90.0 < lat < 90.0:
                 raise ValidationError(f"{self.name}: latitude {lat} out of range")
         object.__setattr__(self, "points", pts)
-
-
-def _inside(pts: np.ndarray) -> np.ndarray:
-    """Which vertices of a (..., 2) array are in range; NaN fails both tests."""
-    lon, lat = pts.T
-    return (np.abs(lon) <= 180.0) & (np.abs(lat) < 90.0)
 
 
 class ParsedLines(_Record):
@@ -279,8 +263,10 @@ def graticule(lon_step: float, lat_step: float, annulus: SphericalAnnulus) -> Gr
     every vertex's height lies in [rho1, rho2].  All polylines are densified
     to at most 0.25 degrees between vertices; their points are the rows of
     one read-only array per family, built by broadcasting from the four
-    read-only axes the returned :class:`Graticule` keeps, and checked once.
+    read-only axes the returned :class:`Graticule` keeps.  Only the band is
+    checked: its vertices lie in range by construction.
     """
+    _check_band(annulus.rho1, annulus.rho2)
     if lon_step <= 0.0 or lat_step <= 0.0:
         raise ValueError("graticule steps must be positive")
     if (n := round(360.0 / lon_step)) < 1 or abs(360.0 / lon_step - n) > 1e-9:
@@ -303,8 +289,7 @@ def graticule(lon_step: float, lat_step: float, annulus: SphericalAnnulus) -> Gr
     parallels = np.stack(np.broadcast_arrays(lons, parallel_lats[:, None]), axis=-1)
     for array in (meridians, parallels, meridian_lons, lats, parallel_lats, lons):
         array.flags.writeable = False
-    checked = _inside(meridians).all() and _inside(parallels).all()
-    make = GeoPolyline._checked if checked else GeoPolyline  # which words a failure
+    make = GeoPolyline._checked
     lines = [
         make(f"meridian {lon:g}", pts) for lon, pts in zip(meridian_lons.tolist(), meridians)
     ] + [make(f"parallel {lat:g}", pts) for lat, pts in zip(parallel_lats.tolist(), parallels)]
@@ -583,9 +568,6 @@ def render_svg(layer_groups) -> str:
     return "\n".join(out)
 
 
-def write_svg(paths, style: SvgStyle, dest, overlays=()) -> None:
-    """Write polylines as a standalone SVG document to a path or text stream.
-
-    ``overlays`` are further (SvgStyle, paths) groups drawn on top.
-    """
-    _write_text([render_svg([(style, list(paths)), *overlays])], dest, "SVG")
+def write_svg(paths, style: SvgStyle, dest) -> None:
+    """Write polylines as a standalone SVG document to a path or text stream."""
+    _write_text([render_svg([(style, list(paths))])], dest, "SVG")

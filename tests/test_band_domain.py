@@ -1,6 +1,8 @@
 """Every entry point that takes a band checks it the same way, and
 `compare_all` reports a kind that is no map of the band as None."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from conicmaps import (
@@ -10,6 +12,7 @@ from conicmaps import (
     bilipschitz_curve,
     compare_all,
     cone_through_parallels,
+    graticule,
     optimal_alpha_by_root,
     optimal_alpha_by_scan,
 )
@@ -20,7 +23,8 @@ ENTRY_POINTS = {
     "SphericalAnnulus": SphericalAnnulus,
     "cone_through_parallels": cone_through_parallels,
     "annulus_distortion": lambda r1, r2: annulus_distortion(r1, r2, 0.9, 0.0),
-    "annulus_distortions": lambda r1, r2: annulus_distortion(r1, r2, [0.9], 0.0),
+    # a stand-in for the annulus, which would reject the band itself
+    "graticule": lambda r1, r2: graticule(10.0, 5.0, SimpleNamespace(rho1=r1, rho2=r2)),
     "optimal_alpha_by_root": optimal_alpha_by_root,
     "optimal_alpha_by_scan": optimal_alpha_by_scan,
     "bilipschitz_curve": lambda r1, r2: bilipschitz_curve(r1, r2, 5),

@@ -1,6 +1,6 @@
 """Each map vertex is checked once: `parse_geojson_lines` checks a vertex
-while it converts it and `graticule` checks each block of lines in one array
-test, and both hand `GeoPolyline._checked` what they checked.  A direct
+while it converts it and `graticule` checks its band, whose vertices lie in
+range by construction, and both hand `GeoPolyline._checked` what they checked.  A direct
 `GeoPolyline(...)` call still converts and checks everything, so the parser
 must agree with the two-pass route kept here as its reference: the type
 loop, then the checking constructor."""
@@ -200,9 +200,9 @@ def test_graticule_points_are_read_only():
             line.points[0, 0] = 0.0
 
 
-def test_a_graticule_out_of_range_is_worded_by_the_checking_constructor():
-    # no annulus reaches the pole; a stand-in with rho2 = 1 puts lat2 at 90
-    with pytest.raises(ValidationError, match=r"^meridian -180: latitude 90\.0 out of range$"):
+def test_a_graticule_out_of_range_is_worded_by_the_band_check():
+    # no annulus reaches the pole; a stand-in with rho2 = 1 would put lat2 at 90
+    with pytest.raises(ValueError, match=r"^need -1 < rho1 < rho2 < 1, got \(0\.5, 1\.0\)$"):
         graticule(10.0, 5.0, SimpleNamespace(rho1=0.5, rho2=1.0))
 
 
