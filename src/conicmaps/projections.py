@@ -253,8 +253,12 @@ def make_profile(kind: str, params: ProjectionParams) -> MeridianProfile:
     if kind == KIND_ORTHOGONAL:
         # apex - cos eps, as (apex - 1) + 2 sin^2(eps/2): near the pole the
         # apex is near 1 and cos eps a staircase of doubles, so the plain
-        # difference cancels.
-        rise = apex - 1.0
+        # difference cancels.  apex - 1 = r1 / tan(alpha) - (1 - rho1) is
+        # taken in a closed form in which nothing cancels.
+        rise = 2.0 * math.sqrt((1.0 - rho1) * (1.0 - rho2)) / (
+            (math.sqrt((1.0 + rho2) * (1.0 - rho1)) + math.sqrt((1.0 + rho1) * (1.0 - rho2)))
+            * ((rho1 + rho2) / (r1 + r2))
+        )
 
         def s(e):
             return np.sin(e) * sa + ca * (rise + 2.0 * np.sin(0.5 * e) ** 2)
