@@ -53,6 +53,7 @@ def inputs_dir(tmp_path_factory):
 
 def test_the_manifest_holds_the_corpus_argvs_in_order():
     assert [e["argv"] for e in corpus.load_manifest()] == ARGVS
+    assert len({json.dumps(argv) for argv in ARGVS}) == len(ARGVS), "an argv repeats"
 
 
 @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
