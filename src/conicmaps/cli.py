@@ -7,7 +7,7 @@ A call whose first argument names a subcommand builds one flat parser with
 that subcommand's options only; any other call builds the top-level parser,
 which lists the subcommands and serves help and usage errors.
 
-``optimize --csv FILE`` implies --scan.  A kind is no map of the band when a
+``optimize --samples N`` or ``--csv FILE`` implies --scan.  A kind is no map of the band when a
 stretch is not positive somewhere on it: ``table`` and ``reproduce`` print it
 (``compare_all`` gives it no report) as undefined, ``table --csv`` leaves it
 out, ``reproduce`` counts it missed, and ``curves`` and ``project`` exit 2.
@@ -225,7 +225,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     print(f"alpha0 = {alpha_root:.10g} rad = {_degree_minutes(alpha_root)}")
     print(f"delta_min = {delta_min:.10g}")
     print(f"root/scan agreement = {abs(alpha_root - alpha_scan):.3g} rad")
-    if args.scan or args.csv is not None:
+    if args.scan or args.samples is not None or args.csv is not None:
         write_csv(scan_table(args.rho1, args.rho2, n),
                   sys.stdout if args.csv is None else args.csv)
     return 0

@@ -79,6 +79,8 @@ class TestOptimize:
         assert "sin_alpha" not in res.stdout
         scanned = run_cli("optimize", "--scan", "--samples", "5")
         assert out.read_text() == scanned.stdout[scanned.stdout.index("sin_alpha"):]
+        # --samples alone implies --scan too
+        assert run_cli("optimize", "--samples", "5").stdout == scanned.stdout
 
 
 class TestTable:
