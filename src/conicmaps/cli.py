@@ -7,10 +7,11 @@ A call whose first argument names a subcommand builds one flat parser with
 that subcommand's options only; any other call builds the top-level parser,
 which lists the subcommands and serves help and usage errors.
 
-``optimize --samples N`` or ``--csv FILE`` implies --scan.  A kind is no map of the band when a
-stretch is not positive somewhere on it: ``table`` and ``reproduce`` print it
-(``compare_all`` gives it no report) as undefined, ``table --csv`` leaves it
-out, ``reproduce`` counts it missed, and ``curves`` and ``project`` exit 2.
+``optimize --samples N`` or ``--csv FILE`` implies --scan.  A kind is no
+map of the band when a stretch is not positive somewhere on it: ``table``
+and ``reproduce`` print it (``compare_all`` gives it no report) as
+undefined, ``table --csv`` leaves it out, ``reproduce`` counts it missed,
+and ``curves`` and ``project`` exit 2.
 
 Exit codes: 0 success, 1 a reproduction target missed or undefined on the
 band, 2 invalid parameters (including an option the subcommand does not

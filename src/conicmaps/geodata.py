@@ -5,10 +5,10 @@ latitude degrees in (-90, 90), converted once on projection to the internal
 (theta, rho) = (radians(lon) mod 2pi, sin(radians(lat))) coordinates.
 A polyline's vertices are a tuple of (lon, lat) tuples, as parsed from
 GeoJSON, each vertex checked once, or a read-only (n, 2) array, as the
-graticule builds them in range from a checked band.  Clipping to the annulus and splitting at the
-cut meridian both happen in (longitude offset, rho) space, where the
-boundaries are coordinate-aligned; only the final step maps to the drawing
-plane.  Every stage is an array call over the vertices of all lines at once,
+graticule builds them in range from a checked band.  Clipping to the
+annulus and splitting at the cut meridian both happen in (longitude offset,
+rho) space, where the boundaries are coordinate-aligned; only the final
+step maps to the drawing plane.  Every stage is an array call over the vertices of all lines at once,
 except for a graticule: its vertices lie in the band by construction, its
 meridians share their latitudes and its parallels their longitudes, so it
 is projected by that product structure, with each distinct longitude,
