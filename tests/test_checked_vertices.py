@@ -1,9 +1,9 @@
 """Each map vertex is checked once: `parse_geojson_lines` checks a vertex
 while it converts it and `graticule` checks its band, whose vertices lie in
-range by construction, and both hand `GeoPolyline._checked` what they checked.  A direct
-`GeoPolyline(...)` call still converts and checks everything, so the parser
-must agree with the two-pass route kept here as its reference: the type
-loop, then the checking constructor."""
+range by construction, and both hand `GeoPolyline._checked` what they
+checked.  A direct `GeoPolyline(...)` call still converts and checks
+everything, so the parser must agree with the two-pass route kept here as
+its reference: the type loop, then the checking constructor."""
 
 import ast
 import json

@@ -1,6 +1,7 @@
 """`annulus_distortion` is the one entry for the conformal distortion, at a
-float angle, and the band's two logarithms and log F each have one owner, so the values built on them agree bit for bit.  A band's six
-profiles are built once, the Lambert one first."""
+float angle, and the band's two logarithms and log F each have one owner,
+so the values built on them agree bit for bit.  A band's six profiles are
+built once, the Lambert one first."""
 
 import math
 import re
