@@ -191,6 +191,31 @@ def test_delisle_scale_against_mpmath(band):
         assert abs(scale - exact) <= 4e-16 * exact
 
 
+@pytest.mark.parametrize(
+    "band",
+    [
+        (0.0, 1e-300),
+        (1e-300, 2e-300),
+        (-0.3, 0.9),
+        (RHO1, RHO2),
+        (0.7544591939931753, 0.999999999999999),
+        (0.9999999999999998, 0.9999999999999999),
+    ],
+)
+def test_orthogonal_pole_slant_against_mpmath(band):
+    # The orthogonal map sends the pole to slant cos(alpha) (apex - 1), and
+    # tan(alpha) = (rho1 + rho2) / (r1 + r2) for the cone through both
+    # parallels, so apex - 1 = r1 (r1 + r2) / (rho1 + rho2) - (1 - rho1).
+    rho1, rho2 = band
+    profile = make_profile("orthogonal", ProjectionParams(rho1, rho2))
+    with mpmath.workdps(80):
+        x1, x2 = mpmath.mpf(rho1), mpmath.mpf(rho2)
+        r1 = mpmath.sqrt((1 - x1) * (1 + x1))
+        r2 = mpmath.sqrt((1 - x2) * (1 + x2))
+        exact = profile.cone.cos_alpha * (r1 * (r1 + r2) / (x1 + x2) - (1 - x1))
+        assert abs(profile.s(0.0) - exact) <= 1e-15 * exact
+
+
 def test_table_on_a_very_narrow_band_prints_no_delisle_noise(capsys):
     assert main(["table", "--rho1", "0.1", "--rho2", "0.1000000001"]) == 0
     row = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("delisle "))
