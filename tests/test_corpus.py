@@ -12,8 +12,10 @@ documented error exit.  `data/map_fixture.geojson` holds lines that cross
 the cut meridian, a vertex at exactly +-180 next to its mirror (also as a
 line's first segment), a segment that jumps over the whole band, a single
 in-band vertex between two outside ones, a line that lies wholly outside
-the band (dropped) and a Point (ignored).  `corpus.py` explains the
-manifest.  Each argv is its own test case, named by the argv, so a run
+the band (dropped) and a Point (ignored); the corpus input
+`outside.geojson` holds only lines outside the canonical band, so its
+coastline group draws no path.  `corpus.py` explains the manifest.  Each
+argv is its own test case, named by the argv, so a run
 names every entry that moved, with the outcomes that changed.  After a
 change that moves an output on purpose, `python scripts/update_corpus.py`
 rewrites the manifest and prints the same lines.
