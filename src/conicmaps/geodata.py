@@ -8,11 +8,13 @@ GeoJSON, each vertex checked once, or a read-only (n, 2) array, as the
 graticule builds them in range from a checked band.  Clipping to the
 annulus and splitting at the cut meridian both happen in (longitude offset,
 rho) space, where the boundaries are coordinate-aligned; only the final
-step maps to the drawing plane.  Every stage is an array call over the vertices of all lines at once,
-except for a graticule: its vertices lie in the band by construction, its
-meridians share their latitudes and its parallels their longitudes, so it
-is projected by that product structure, with each distinct longitude,
-latitude and offset evaluated once and nothing clipped.
+step maps to the drawing plane.  The vertices of all lines are read in one
+pass, whatever form their points take, and every later stage is an array
+call over all of them at once, except for an unchanged graticule: its
+vertices lie in the band by construction, its meridians share their
+latitudes and its parallels their longitudes, so it is projected by that
+product structure, with each distinct longitude, latitude and offset
+evaluated once and nothing clipped.
 The numbers of the CSV and SVG text come from the array decimal writer of
 ``decimals``, byte for byte what ``'%.17g' % v`` and ``'%.8f' % v`` give.
 """
@@ -20,7 +22,7 @@ The numbers of the CSV and SVG text come from the array decimal writer of
 from __future__ import annotations
 
 import math
-from itertools import chain, groupby
+from itertools import chain
 
 import numpy as np
 
@@ -311,21 +313,20 @@ def project_polylines(
 ) -> ProjectedPaths:
     """Map polylines onto the drawing plane of a projection profile.
 
-    The vertices of all lines are gathered into flat (longitude offset from
-    the central meridian, rho) arrays, array-valued lines with one
-    concatenate.  A segment whose offset jumps by more than 180 degrees
+    The vertices of all lines are read vertex by vertex with one
+    ``np.fromiter`` into flat (longitude offset from the central meridian,
+    rho) arrays.  A segment whose offset jumps by more than 180 degrees
     crosses the cut meridian and is split at the sector edge; the pieces are
     then clipped to the annulus band, interpolating linearly in (offset,
     rho).  The splits, the clip and the placement on the plane are each a
-    few array calls over every vertex at once, with one call of the profile;
-    no Python loop runs over vertices.  An unchanged :class:`Graticule` of
-    the profile's band is projected by its product structure instead, with
-    the same paths and none dropped (see :func:`_project_graticule`).  Each path is an (n, 2)
-    view of one array.  Input polylines that vanish entirely in clipping are
-    dropped and counted.
+    few array calls over every vertex at once, with one call of the profile.
+    An unchanged :class:`Graticule` of the profile's band is projected by its
+    product structure instead, with the same paths and none dropped (see
+    :func:`_project_graticule`); its list, a slice, a changed graticule or
+    one of a wider band is read vertex by vertex like any other lines.  Each
+    path is an (n, 2) view of one array.  Input polylines that vanish
+    entirely in clipping are dropped and counted.
     """
-    if not lines:
-        return ProjectedPaths([], 0)
     center_deg = math.degrees(cut) % 360.0 - 180.0
     if isinstance(lines, Graticule) and lines._unchanged() and lines._in_band(
         profile.rho1, profile.rho2
@@ -333,21 +334,8 @@ def project_polylines(
         return _project_graticule(profile, lines, center_deg)
     points = [line.points for line in lines]
     counts = np.fromiter(map(len, points), dtype=np.intp, count=len(points))
-    # Array lines go in as they are; each run of tuple lines is read with one
-    # np.fromiter, which is cheaper than converting its lines one by one.
-    blocks = []
-    for is_array, run in groupby(points, key=lambda p: isinstance(p, np.ndarray)):
-        if is_array:
-            blocks.extend(run)
-        else:
-            run = list(run)
-            flat = np.fromiter(
-                chain.from_iterable(chain.from_iterable(run)),
-                dtype=float,
-                count=2 * sum(map(len, run)),
-            )
-            blocks.append(flat.reshape(-1, 2))
-    lon, lat = np.concatenate(blocks).T
+    flat = chain.from_iterable(chain.from_iterable(points))
+    lon, lat = np.fromiter(flat, dtype=float, count=2 * counts.sum()).reshape(-1, 2).T
     line_id = np.repeat(np.arange(len(points)), counts)
     first = np.diff(line_id, prepend=-1) != 0  # starts a piece
     off, rho, first, at = _split_at_seam(_wrap(lon, center_deg), np.sin(np.radians(lat)), first)
@@ -358,8 +346,6 @@ def project_polylines(
     drawn[line_id[keep]] = True
     drawn[line_id[segs]] = True
     dropped = len(points) - int(drawn.sum())
-    if not len(off):
-        return ProjectedPaths([], dropped)
     slant = profile.s(np.arccos(rho))
     psi = np.radians(off) * profile.sin_alpha
     xy = np.column_stack((slant * np.sin(psi), -slant * np.cos(psi)))
