@@ -29,7 +29,7 @@ import numpy as np
 from .decimals import decimal_chunks
 from .errors import ParseError, ValidationError
 from .projections import DEFAULT_CUT_LONGITUDE, MeridianProfile
-from .sphere import SphericalAnnulus, _check_band, _Record
+from .sphere import TAU, SphericalAnnulus, _check_band, _Record
 
 # Densification ceiling for generated polylines, in degrees of arc.
 _MAX_VERTEX_SPACING_DEG = 0.25
@@ -327,7 +327,10 @@ def project_polylines(
     path is an (n, 2) view of one array.  Input polylines that vanish
     entirely in clipping are dropped and counted.
     """
-    center_deg = math.degrees(cut) % 360.0 - 180.0
+    deg = math.degrees(cut)
+    if math.isinf(deg):  # a finite cut above about 3.1e306 rad; fmod is exact
+        deg = math.degrees(math.fmod(cut, TAU))
+    center_deg = deg % 360.0 - 180.0
     if isinstance(lines, Graticule) and lines._unchanged() and lines._in_band(
         profile.rho1, profile.rho2
     ):

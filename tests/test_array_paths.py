@@ -2,11 +2,13 @@
 and the CLI maps bad input and unwritable output to their exit codes."""
 
 import argparse
+import contextlib
 import dataclasses
 import io
 import json
 import math
 import re
+import traceback
 
 import numpy as np
 import pytest
@@ -854,6 +856,187 @@ def test_a_graticule_lies_in_its_band_and_projects_as_its_list(band, kind, cut_d
     assert projected.dropped == 0
     _assert_same_paths(project_polylines(profile, list(grid), cut), projected.paths, 0)
     _assert_same_paths(projected, *_scalar_paths(profile, grid, cut))
+
+
+# Finite cuts, in radians, whose degrees overflow to inf.
+HUGE_CUTS = [1e307, -1e307, 1.7976931348623157e308]
+
+
+def _reference_cut(cut):
+    """The cut whose paths ``cut`` draws: its remainder modulo 2 pi where its
+    degrees overflow, else itself."""
+    return math.fmod(cut, 2.0 * math.pi) if math.isinf(math.degrees(cut)) else cut
+
+
+@pytest.mark.parametrize("cut", HUGE_CUTS)
+def test_a_huge_finite_cut_draws_the_paths_of_its_remainder(cut):
+    """Tuple lines and a graticule, which takes the product path, draw
+    finite paths, bit for bit those of the cut modulo 2 pi."""
+    profile = _PROFILES["lambert"]
+    lines = [GeoPolyline(name, vertices) for name, (vertices, _) in SPLIT_CLIP_CASES.items()]
+    grid = graticule(10.0, 5.0, SphericalAnnulus(_PARAMS.rho1, _PARAMS.rho2))
+    for drawn in (lines, grid):
+        projected = project_polylines(profile, drawn, cut)
+        assert projected.paths and all(np.isfinite(path).all() for path in projected.paths)
+        want = project_polylines(profile, drawn, math.fmod(cut, 2.0 * math.pi))
+        _assert_same_paths(projected, want.paths, want.dropped)
+        _assert_same_paths(projected, *_scalar_paths(profile, drawn, _reference_cut(cut)))
+
+
+@pytest.mark.parametrize("cut", [math.inf, -math.inf])
+def test_an_infinite_cut_raises_as_in_project_point(cut):
+    profile = _PROFILES["lambert"]
+    line = GeoPolyline("line", [(10.0, 55.0), (20.0, 56.0)])
+    with pytest.raises(ValueError):
+        project_polylines(profile, [line], cut)
+    with pytest.raises(ValueError):
+        project_point(profile, SphericalPoint(0.2, _PARAMS.rho1), cut)
+
+
+_LAT_MAX = math.nextafter(90.0, 0.0)
+LINE_CUTS = [math.radians(cut_deg) for cut_deg in MAP_CUTS] + [1e307, -1e307]
+
+
+def _line_vertices(lat1, lat2, outside):
+    """Lists of up to six vertex lists of 2 to 8 (lon, lat) pairs for the
+    band of latitudes [lat1, lat2].  A vertex lies at any longitude or on
+    +-180, so lines cross the seam and jump from edge to edge; its latitude
+    lies in the band, on an edge, beyond it or anywhere, so lines also run
+    outside it.  With ``outside``, each line lies beyond one edge."""
+    lon = st.one_of(st.floats(-180.0, 180.0), st.sampled_from([-180.0, 180.0]))
+    below = st.floats(-_LAT_MAX, lat1, exclude_max=True)
+    above = st.floats(lat2, _LAT_MAX, exclude_min=True)
+    if outside:
+        line = st.one_of(
+            st.lists(st.tuples(lon, below), min_size=2, max_size=8),
+            st.lists(st.tuples(lon, above), min_size=2, max_size=8),
+        )
+    else:
+        lat = st.one_of(
+            st.floats(lat1, lat2),
+            st.sampled_from([lat1, lat2]),
+            below,
+            above,
+            st.floats(-_LAT_MAX, _LAT_MAX),
+        )
+        line = st.lists(st.tuples(lon, lat), min_size=2, max_size=8)
+    return st.lists(line, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    band=MAP_BANDS,
+    kind=st.sampled_from(COMPARISON_ORDER),
+    cut=st.sampled_from(LINE_CUTS),
+    data=st.data(),
+)
+def test_lines_project_as_the_scalar_loop_between_the_edge_slants(band, kind, cut, data):
+    """Random lines, mixed with graticule rows (array points) of the band or
+    a wider one, project bit for bit as the scalar loop does, with the same
+    count dropped; a huge cut as its remainder modulo 2 pi.  Every vertex is
+    finite, and its distance from the apex lies between the slants of the
+    two band edges, up to rounding."""
+    rho1, rho2 = band
+    assume(-1.0 < rho1 < rho2 < 1.0 and rho1 + rho2 > 0.0)
+    try:
+        profile = make_profile(kind, ProjectionParams(rho1, rho2))
+    except (ValueError, OverflowError):  # as in the graticule property above
+        reject()
+    lat1, lat2 = (math.degrees(math.asin(rho)) for rho in band)
+    outside = data.draw(st.booleans(), "outside")
+    vertices = data.draw(_line_vertices(lat1, lat2, outside), "vertices")
+    lines = [GeoPolyline(f"line {k}", points) for k, points in enumerate(vertices)]
+    if not outside:
+        wider = data.draw(st.booleans(), "wider")
+        grid = graticule(10.0, 5.0, SphericalAnnulus((rho1 - 1.0) / 2.0 if wider else rho1, rho2))
+        rows = data.draw(st.lists(st.sampled_from(grid), max_size=3), "graticule rows")
+        lines = data.draw(st.permutations(lines + rows), "order")
+
+    projected = project_polylines(profile, lines, cut)
+    _assert_same_paths(projected, *_scalar_paths(profile, lines, _reference_cut(cut)))
+    if projected.paths:
+        xy = np.concatenate(projected.paths)
+        assert np.isfinite(xy).all()
+        distance = np.hypot(xy[:, 0], xy[:, 1])
+        s1, s2 = profile.s(np.arccos([profile.rho1, profile.rho2])).tolist()
+        # the slant changes sign within the band only where the apex lies in it
+        low = min(abs(s1), abs(s2)) if (s1 > 0.0) == (s2 > 0.0) else 0.0
+        assert low * (1.0 - 1e-15) <= distance.min()
+        assert distance.max() <= max(abs(s1), abs(s2)) * (1.0 + 1e-15)
+
+
+_ARG_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-1.0, 1.0),
+    st.sampled_from([1e307, -1e307, 1.7976931348623157e308, 180.0, -180.0, 179.75, -0.0, 5e-324]),
+)
+_GEOJSON_LINES = st.lists(
+    st.lists(
+        st.tuples(
+            st.one_of(st.floats(-180.0, 180.0), st.sampled_from([-180.0, 180.0])),
+            st.floats(-_LAT_MAX, _LAT_MAX),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    max_size=4,
+)
+
+
+@st.composite
+def _project_argvs(draw):
+    """``project`` argvs of a random kind, band, cut, --alpha and GeoJSON
+    lines; each option may be left out, and a value may lie outside its
+    domain.  Returns the argv without the GeoJSON path, and the lines, or
+    None for no GeoJSON file."""
+    argv = ["project", "--kind", draw(st.sampled_from(COMPARISON_ORDER))]
+    band = draw(st.one_of(st.none(), MAP_BANDS, st.tuples(_ARG_FLOATS, _ARG_FLOATS)))
+    if band is not None:
+        argv += [f"--rho1={band[0]!r}", f"--rho2={band[1]!r}"]
+    elif draw(st.booleans()):
+        lat1, lat2 = draw(st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)))
+        argv += [f"--lat1={lat1!r}", f"--lat2={lat2!r}", "--degrees"]
+    if draw(st.booleans()):
+        argv.append(f"--cut={draw(_ARG_FLOATS)!r}")
+    if draw(st.integers(0, 3)) == 0:  # only Lambert takes it, so it seldom draws a map
+        argv.append(f"--alpha={draw(st.floats(0.0, 1.6) | _ARG_FLOATS)!r}")
+    return argv, draw(st.none() | _GEOJSON_LINES)
+
+
+@pytest.fixture(scope="module")
+def geojson_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "lines.geojson"
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_project_argvs())
+def test_fuzzed_project_argv_exits_with_its_code_and_draws_no_nan(case, geojson_path):
+    """A fuzzed ``project`` argv exits 0 with an SVG free of NaN and inf, or
+    2 or 3 with a message; it raises nothing, except lambert_chart's
+    overflow of the strict xfails in test_exact_extremes.py."""
+    argv, lines = case
+    if lines is not None:
+        features = [
+            {"type": "Feature", "geometry": {"type": "LineString", "coordinates": line}}
+            for line in lines
+        ]
+        geojson_path.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+        argv = argv + [str(geojson_path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        except OverflowError as exc:
+            assert traceback.extract_tb(exc.__traceback__)[-1].name == "lambert_chart"
+            reject()
+    assert code in (0, 2, 3), (code, err.getvalue())
+    if code == 0:
+        assert out.getvalue().startswith("<?xml") and err.getvalue() == ""
+        assert not re.search("nan|inf", out.getvalue(), re.IGNORECASE)
+    else:
+        assert err.getvalue().startswith(("error: ", "usage: "))
 
 
 BAD_POLYLINES = [
