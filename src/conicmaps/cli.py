@@ -107,7 +107,8 @@ _CSV = (("--csv", dict(help="CSV output file")),)
 _SAMPLED = (("--samples", dict(type=int, help="sample count")),) + _CSV
 _OPTIMIZE = _SAMPLED + (
     ("--scan", dict(action="store_true",
-                    help="also emit the (sin alpha, distortion) curve as CSV")),
+                    help="also emit the (sin alpha, distortion) curve as CSV; "
+                    "implied by --samples or --csv")),
 )
 _PROJECT = (
     ("--alpha", dict(type=float, help="half-apex angle override (Lambert only)")),
