@@ -325,7 +325,9 @@ def project_polylines(
     :func:`_project_graticule`); its list, a slice, a changed graticule or
     one of a wider band is read vertex by vertex like any other lines.  Each
     path is an (n, 2) view of one array.  Input polylines that vanish
-    entirely in clipping are dropped and counted.
+    entirely in clipping are dropped and counted.  ``cut`` is in radians; a
+    finite cut whose degrees overflow is taken modulo 2 pi, and an infinite
+    one raises ``ValueError``.
     """
     deg = math.degrees(cut)
     if math.isinf(deg):  # a finite cut above about 3.1e306 rad; fmod is exact
