@@ -330,7 +330,7 @@ def project_polylines(
     one raises ``ValueError``.
     """
     deg = math.degrees(cut)
-    if math.isinf(deg):  # a finite cut above about 3.1e306 rad; fmod is exact
+    if math.isinf(deg):  # |cut| above about 3.1e306 rad; fmod is exact
         deg = math.degrees(math.fmod(cut, TAU))
     center_deg = deg % 360.0 - 180.0
     if isinstance(lines, Graticule) and lines._unchanged() and lines._in_band(
