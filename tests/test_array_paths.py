@@ -880,7 +880,6 @@ def test_a_huge_finite_cut_draws_the_paths_of_its_remainder(cut):
         assert projected.paths and all(np.isfinite(path).all() for path in projected.paths)
         want = project_polylines(profile, drawn, math.fmod(cut, 2.0 * math.pi))
         _assert_same_paths(projected, want.paths, want.dropped)
-        _assert_same_paths(projected, *_scalar_paths(profile, drawn, _reference_cut(cut)))
 
 
 @pytest.mark.parametrize("cut", [math.inf, -math.inf])
