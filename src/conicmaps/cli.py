@@ -245,8 +245,7 @@ def cmd_table(args: argparse.Namespace) -> int:
             continue
         delta, sup, inf = rep.delta, math.exp(rep.sup_log), math.exp(rep.inf_log)
         # A cell keeps a leading space however wide its value is.
-        cells = "".join(f"{' ' + format(v, '.10f'):>14}" for v in (delta, sup, inf))
-        print(f"{kind:<22}{cells}")
+        print(f"{kind:<22} {delta:13.10f} {sup:13.10f} {inf:13.10f}")
         rows.append((i, delta, sup, inf))
     if args.csv is not None:
         columns = ("kind_index", "distortion", "sup_stretch", "inf_stretch")

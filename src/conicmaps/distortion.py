@@ -32,13 +32,11 @@ from .sphere import _band_logs, _check_band, _check_open_unit, _Record
 if TYPE_CHECKING:  # pragma: no cover
     from .projections import MeridianProfile
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 def _require_positive(h_m, h_p) -> None:
     """A kind whose stretch (float or array) is not positive somewhere on the
-    band is no map of it."""
-    if np.any(h_m <= 0.0) or np.any(h_p <= 0.0):
+    band is no map of it.  NaN passes; the two may differ in shape."""
+    if np.count_nonzero(np.less_equal(h_m, 0.0)) or np.count_nonzero(np.less_equal(h_p, 0.0)):
         raise NonPositiveStretch("stretches must be positive")
 
 
@@ -117,7 +115,7 @@ def _distortion_in_a(rho1: float, rho2: float, rho0: float) -> Callable[[float],
             inf = f1
         else:
             inf = f2
-        return 0.5 * (max(f1, f2) - inf)
+        return 0.5 * ((f2 if f2 > f1 else f1) - inf)  # max(f1, f2) without the call
 
     return delta
 
@@ -193,23 +191,24 @@ def _golden_section(
     interval width tol.
 
     Linear convergence is plenty here: every use in this package has an
-    analytic, cheaply evaluated integrand.
+    analytic, cheaply evaluated integrand.  A maximum is the minimum of -f.
     """
-    sign = -1.0 if maximize else 1.0
+    g = (lambda x: -f(x)) if maximize else f
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc = sign * f(c)
-    fd = sign * f(d)
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc = g(c)
+    fd = g(d)
     while b - a > tol:
         if fc < fd:
             b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = sign * f(c)
+            c = b - inv_phi * (b - a)
+            fc = g(c)
         else:
             a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = sign * f(d)
+            d = a + inv_phi * (b - a)
+            fd = g(d)
     return 0.5 * (a + b)
 
 
@@ -288,8 +287,11 @@ def profile_distortion(profile: "MeridianProfile", n_grid: int = 4097) -> Distor
 
     # (value, rho) candidates of each extreme: every exact value, or the
     # grid's two boundary values and its refined interior extremes.
-    nodes = range(len(eps)) if exact else (0, -1)
-    sups = [(float(values[i]), math.cos(eps[i])) for values in logs for i in nodes]
+    if exact:
+        rhos = [math.cos(e) for e in eps]
+        sups = [c for values in logs for c in zip(values.tolist(), rhos)]
+    else:
+        sups = [(float(values[i]), math.cos(eps[i])) for values in logs for i in (0, -1)]
     infs = list(sups)
     if not exact:
         for j, values in enumerate(logs):
