@@ -28,12 +28,14 @@ import numpy as np
 
 from .decimals import decimal_chunks
 from .errors import ParseError, ValidationError
-from .projections import DEFAULT_CUT_LONGITUDE, MeridianProfile
+from .projections import DEFAULT_CUT_LONGITUDE, MeridianProfile, _check_cut
 from .sphere import TAU, SphericalAnnulus, _check_band, _Record
 
 # Densification ceiling for generated polylines, in degrees of arc.
 _MAX_VERTEX_SPACING_DEG = 0.25
-_MAX_PARALLELS = 10_000  # inner parallels of a graticule, so a tiny lat_step fails fast
+# Lines of a graticule, so that a tiny step fails fast.
+_MAX_MERIDIANS = 10_000
+_MAX_PARALLELS = 10_000  # inner ones
 
 # The JSON value types accepted as a coordinate; bool is excluded although it
 # is an int subclass.
@@ -260,17 +262,23 @@ def graticule(lon_step: float, lat_step: float, annulus: SphericalAnnulus) -> Gr
     [-180, 180], so the +-180 meridian appears twice: once per edge of the
     developed sector.  Parallels sit at the two band boundaries plus every
     multiple of ``lat_step`` strictly inside the band, at most 10,000 of
-    them.  A boundary latitude is the double nearest degrees(asin(rho))
+    them; at most 10,000 longitudes carry meridians.  A boundary latitude is the double nearest degrees(asin(rho))
     whose height lies in the band, and the meridians end on the two, so
     every vertex's height lies in [rho1, rho2].  All polylines are densified
     to at most 0.25 degrees between vertices; their points are the rows of
     one read-only array per family, built by broadcasting from the four
     read-only axes the returned :class:`Graticule` keeps.  Only the band is
-    checked: its vertices lie in range by construction.
+    checked: its vertices lie in range by construction.  A step that is
+    not positive, or a latitude step that is not finite, is named in its
+    ``ValueError``; an infinite longitude step does not divide 360.
     """
     _check_band(annulus.rho1, annulus.rho2)
-    if lon_step <= 0.0 or lat_step <= 0.0:
-        raise ValueError("graticule steps must be positive")
+    if not lon_step > 0.0:
+        raise ValueError(f"longitude step must be positive, got {lon_step}")
+    if not 0.0 < lat_step < math.inf:
+        raise ValueError(f"latitude step must be finite and positive, got {lat_step}")
+    if 360.0 / lon_step > _MAX_MERIDIANS:
+        raise ValueError(f"longitude step {lon_step} gives over {_MAX_MERIDIANS:,} meridians")
     if (n := round(360.0 / lon_step)) < 1 or abs(360.0 / lon_step - n) > 1e-9:
         raise ValueError(f"longitude step {lon_step} does not divide 360")
     lat1, lat2 = _edge_latitude(annulus.rho1, 90.0), _edge_latitude(annulus.rho2, -90.0)
@@ -326,9 +334,10 @@ def project_polylines(
     one of a wider band is read vertex by vertex like any other lines.  Each
     path is an (n, 2) view of one array.  Input polylines that vanish
     entirely in clipping are dropped and counted.  ``cut`` is in radians; a
-    finite cut whose degrees overflow is taken modulo 2 pi, and an infinite
-    one raises ``ValueError``.
+    finite cut whose degrees overflow is taken modulo 2 pi, and a non-finite
+    one raises ``ValueError``, as in :func:`projections.project_point`.
     """
+    _check_cut(cut)
     deg = math.degrees(cut)
     if math.isinf(deg):  # |cut| above about 3.1e306 rad; fmod is exact
         deg = math.degrees(math.fmod(cut, TAU))

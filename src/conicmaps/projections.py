@@ -299,10 +299,18 @@ def make_profile(kind: str, params: ProjectionParams) -> MeridianProfile:
 
 
 def _check_in_annulus(profile: MeridianProfile, rho: float) -> None:
-    if rho < profile.rho1 - 1e-9 or rho > profile.rho2 + 1e-9:
+    """Written so that a NaN height fails."""
+    if not (profile.rho1 - 1e-9 <= rho <= profile.rho2 + 1e-9):
         raise OutOfAnnulus(
             f"height {rho} outside [{profile.rho1}, {profile.rho2}]"
         )
+
+
+def _check_cut(cut: float) -> None:
+    """The one message of :func:`project_point` and
+    :func:`geodata.project_polylines` for a cut they cannot map."""
+    if not math.isfinite(cut):
+        raise ValueError(f"cut longitude must be finite, got {cut}")
 
 
 def project_point(
@@ -317,8 +325,10 @@ def project_point(
     at the planar origin).  A point at signed longitude offset ``d`` from the
     central meridian lands at development angle ``psi = d * sin(alpha)``, at
     planar position (s sin(psi), -s cos(psi)).  Points on the cut itself are
-    rejected; everything else maps continuously.
+    rejected; everything else maps continuously.  A non-finite cut raises
+    ``ValueError``.
     """
+    _check_cut(cut_longitude)
     _check_in_annulus(profile, p.rho)
     gap = (p.theta - cut_longitude) % TAU
     if min(gap, TAU - gap) < 1e-12:
