@@ -33,9 +33,10 @@ from .sphere import TAU, SphericalAnnulus, _check_band, _Record
 
 # Densification ceiling for generated polylines, in degrees of arc.
 _MAX_VERTEX_SPACING_DEG = 0.25
-# Lines of a graticule, so that a tiny step fails fast.
+# Caps on a graticule's meridian longitudes and inner parallels, so that a
+# tiny step fails fast.
 _MAX_MERIDIANS = 10_000
-_MAX_PARALLELS = 10_000  # inner ones
+_MAX_PARALLELS = 10_000
 
 # The JSON value types accepted as a coordinate; bool is excluded although it
 # is an int subclass.
@@ -262,15 +263,16 @@ def graticule(lon_step: float, lat_step: float, annulus: SphericalAnnulus) -> Gr
     [-180, 180], so the +-180 meridian appears twice: once per edge of the
     developed sector.  Parallels sit at the two band boundaries plus every
     multiple of ``lat_step`` strictly inside the band, at most 10,000 of
-    them; at most 10,000 longitudes carry meridians.  A boundary latitude is the double nearest degrees(asin(rho))
-    whose height lies in the band, and the meridians end on the two, so
-    every vertex's height lies in [rho1, rho2].  All polylines are densified
-    to at most 0.25 degrees between vertices; their points are the rows of
-    one read-only array per family, built by broadcasting from the four
-    read-only axes the returned :class:`Graticule` keeps.  Only the band is
-    checked: its vertices lie in range by construction.  A step that is
-    not positive, or a latitude step that is not finite, is named in its
-    ``ValueError``; an infinite longitude step does not divide 360.
+    them, and meridians at most 10,000 longitudes.  A boundary latitude is
+    the double nearest degrees(asin(rho)) whose height lies in the band,
+    and the meridians end on the two, so every vertex's height lies in
+    [rho1, rho2].  All polylines are densified to at most 0.25 degrees
+    between vertices; their points are the rows of one read-only array per
+    family, built by broadcasting from the four read-only axes the returned
+    :class:`Graticule` keeps.  Only the band is checked: its vertices lie in
+    range by construction.  A step that is not positive, or a latitude step
+    that is not finite, is named in its ``ValueError``; an infinite
+    longitude step does not divide 360.
     """
     _check_band(annulus.rho1, annulus.rho2)
     if not lon_step > 0.0:
